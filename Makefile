@@ -7,7 +7,7 @@ ifdef RTCAD_JOBS
 export RTCAD_JOBS
 endif
 
-.PHONY: all build test fuzz fuzz-edits bench bench-clean verify golden golden-update smoke-symbolic smoke-symbolic-synth smoke-incremental smoke-serve smoke-serve-concurrent smoke-rappid test-serve clean
+.PHONY: all build test fuzz fuzz-edits bench bench-check bench-clean verify golden golden-update smoke-symbolic smoke-symbolic-synth smoke-incremental smoke-serve smoke-serve-concurrent smoke-rappid test-serve clean
 
 all: build
 
@@ -32,6 +32,15 @@ fuzz-edits:
 
 bench:
 	dune exec bench/main.exe -- perf
+
+# The end-to-end benchmark's own checks: the harness selftest, then a
+# recomputation of every committed expected value under
+# perfbench/expected plus its independent oracles (a few minutes).
+# Nothing else builds perfbench/, so this is where a library change
+# that breaks the benchmark or moves one of its outputs shows up.
+bench-check:
+	dune exec perfbench/main.exe -- selftest
+	dune exec perfbench/main.exe -- validate
 
 # Symbolic-engine smoke: ring-14 (~3.1e7 states) is far past the
 # explicit 200 000-state bound, so this exercises the clustered BDD

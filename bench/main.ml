@@ -352,7 +352,7 @@ let ablation () =
   let stg0 = Transform.contract_dummies spec in
   let sg0 = Sg.build stg0 in
   let auto = Generate.automatic ~allow_input_first:true stg0 sg0 in
-  let pruned = (Prune.apply sg0 auto).Prune.pruned in
+  let pruned = (Prune.apply Rtcad_sg.Engine.explicit sg0 auto).Prune.pruned in
   Format.printf
     "with input-first assumptions the base spec already satisfies CSC: %b@."
     (not (Encoding.has_csc pruned));

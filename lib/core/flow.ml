@@ -5,10 +5,7 @@ module Stg_io = Rtcad_stg.Stg_io
 module Transform = Rtcad_stg.Transform
 module Sg = Rtcad_sg.Sg
 module Engine = Rtcad_sg.Engine
-module Symbolic = Rtcad_sg.Symbolic
-module Encoding = Rtcad_sg.Encoding
 module Csc = Rtcad_sg.Csc
-module Props = Rtcad_sg.Props
 module Bdd = Rtcad_logic.Bdd
 module Assumption = Rtcad_rt.Assumption
 module Generate = Rtcad_rt.Generate
@@ -190,11 +187,6 @@ let art_find ctx k =
 let art_store ctx ~stage ?cost_ms k v =
   Store.store ~stage ?cost_ms ctx.store k (Marshal.to_string v [])
 
-let timed f =
-  let t0 = Unix.gettimeofday () in
-  let r = f () in
-  (r, (Unix.gettimeofday () -. t0) *. 1000.0)
-
 (* --- shared stage bodies ----------------------------------------------- *)
 
 let instantiate_user stg user =
@@ -210,12 +202,15 @@ let instantiate_user stg user =
    generator runs once per candidate insertion: fewer randomized runs and
    shorter executions keep the search tractable.  The final assumption set
    is always regenerated at full strength.  The concurrent pairs are the
-   only thing the generator needs from a reachability analysis, so both
-   engines share this body. *)
-let gather_assumptions_pairs ?(fast = false) ~mode stg pairs =
+   only thing the generator needs from a reachability analysis. *)
+let gather_assumptions (type a v) ?(fast = false) ~mode
+    (engine : (a, v) Engine.impl) (a : a) =
+  let module E = (val engine) in
   match mode with
   | Si -> []
   | Rt { user; allow_input_first; _ } ->
+    let stg = E.stg a in
+    let pairs = E.concurrent_pairs a in
     let automatic =
       if fast then
         let nt = Rtcad_stg.Petri.num_transitions (Stg.net stg) in
@@ -225,35 +220,30 @@ let gather_assumptions_pairs ?(fast = false) ~mode stg pairs =
     in
     instantiate_user stg user @ automatic
 
-let gather_assumptions ?fast ~mode stg sg =
-  gather_assumptions_pairs ?fast ~mode stg
-    (match mode with Si -> [] | Rt _ -> Rtcad_rt.Timed_sim.concurrent_pairs sg)
-
-let gather_assumptions_sym ?fast ~mode stg sym =
-  gather_assumptions_pairs ?fast ~mode stg
-    (match mode with Si -> [] | Rt _ -> Symbolic.concurrent_pairs sym)
-
 (* Implementation selection: candidates in preference order, first one
-   passing the correctness checks with minimal literal cost wins.
-   [monotonic] and [lazy_of] abstract the two graph engines: the
-   explicit wrapper reads excitation instances and lazy relaxations off
-   the graph, the symbolic one off the view (which has no lazy-cover
-   support — the relaxation needs per-state successor walks). *)
-let choose_impl_gen ~mode ~stg ~monotonic ~lazy_of (spec : Nextstate.spec) =
+   passing the correctness checks with minimal literal cost wins.  Lazy
+   cover relaxation needs per-state successor walks, so it is tried only
+   when the engine's view is an explicit graph. *)
+let choose_impl (type a v) ~mode (engine : (a, v) Engine.impl) (view : v)
+    (spec : Nextstate.spec) =
+  let module E = (val engine) in
   let complex = Implement.synthesize spec Implement.Complex_gate in
   let gc = Implement.synthesize spec Implement.Generalized_c in
   let base =
     [ (complex, ([] : Assumption.t list)); (gc, []) ]
   in
   let lazy_candidates =
-    match mode with
-    | Si -> []
-    | Rt { allow_lazy = false; _ } -> []
-    | Rt { allow_lazy = true; _ } -> lazy_of gc
+    match (mode, E.graph view) with
+    | Rt { allow_lazy = true; _ }, Some sg ->
+      let r = Lazy_cover.relax sg spec gc in
+      if r.Lazy_cover.constraints = [] then []
+      else [ (r.Lazy_cover.impl, r.Lazy_cover.constraints) ]
+    | _ -> []
   in
   let acceptable (impl, _) =
     match mode with
-    | Si -> Implement.respects_spec spec impl && monotonic impl
+    | Si ->
+      Implement.respects_spec spec impl && Implement.monotonic engine view spec impl
     | Rt _ -> (
       match impl with
       | Implement.Complex _ -> Implement.respects_spec spec impl
@@ -267,28 +257,8 @@ let choose_impl_gen ~mode ~stg ~monotonic ~lazy_of (spec : Nextstate.spec) =
   with
   | [] ->
     fail "no acceptable implementation for signal %s"
-      (Stg.signal_name stg spec.Nextstate.signal)
+      (Stg.signal_name (E.view_stg view) spec.Nextstate.signal)
   | best :: _ -> best
-
-let choose_impl ~mode sg spec =
-  choose_impl_gen ~mode ~stg:(Sg.stg sg)
-    ~monotonic:(fun impl -> Implement.monotonic sg spec impl)
-    ~lazy_of:(fun gc ->
-      let r = Lazy_cover.relax sg spec gc in
-      if r.Lazy_cover.constraints = [] then []
-      else [ (r.Lazy_cover.impl, r.Lazy_cover.constraints) ])
-    spec
-
-let choose_impl_sym ~mode view spec =
-  let stg = Symbolic.stg (Symbolic.view_base view) in
-  choose_impl_gen ~mode ~stg
-    ~monotonic:(fun impl ->
-      Implement.monotonic_with
-        ~rises:(Symbolic.excitation_regions view spec.Nextstate.signal Stg.Rise)
-        ~falls:(Symbolic.excitation_regions view spec.Nextstate.signal Stg.Fall)
-        impl)
-    ~lazy_of:(fun _ -> [])
-    spec
 
 (* The encode stage: state-signal insertion via the CSC search, or — on
    a stage-key hit — an exact replay of the cached winning insertions.
@@ -302,7 +272,7 @@ let run_encode ?ctx ~resolve stg0 =
     Obs.incr "flow.cache.encode_hit";
     (List.fold_left Csc.apply stg0 ins, ins)
   | None -> (
-    let result, ms = timed (fun () -> Obs.span "flow.encode" resolve) in
+    let result, ms = Obs.timed "flow.encode" resolve in
     match result with
     | Some (stg, ins) ->
       Option.iter
@@ -340,14 +310,13 @@ let finish ?ctx ~mode ~stg ~insertions ~reach ~assumptions ~used ~covers_ms
     go 0
   in
   let (netlist : Netlist.t), emit_ms =
-    timed @@ fun () ->
-    Obs.span "flow.emit" (fun () ->
-        (* Degenerate covers (constant drive for an output) are refusals,
-           not crashes: the gate library cannot realize them. *)
-        try
-          Emit.emit ~style:emit_style stg
-            (List.map (fun s -> (signal_index s.signal_name, s.impl)) signals)
-        with Invalid_argument msg -> fail "emission refused: %s" msg)
+    Obs.timed "flow.emit" @@ fun () ->
+    (* Degenerate covers (constant drive for an output) are refusals,
+       not crashes: the gate library cannot realize them. *)
+    try
+      Emit.emit ~style:emit_style stg
+        (List.map (fun s -> (signal_index s.signal_name, s.impl)) signals)
+    with Invalid_argument msg -> fail "emission refused: %s" msg
   in
   let constraints =
     List.sort_uniq Assumption.compare
@@ -387,188 +356,105 @@ let signals_of_chosen stg chosen =
       })
     chosen
 
-(* --- the two engine pipelines ------------------------------------------ *)
+(* --- the pipeline --------------------------------------------------------- *)
 
-let synthesize_explicit ?ctx ~mode ~engine ~emit_style ?max_states stg0 =
+(* The Figure-2 flow on one reachability engine.  State encoding,
+   assumption generation, pruning, next-state extraction and the
+   monotonicity checks all run on the engine's analysis and views; on
+   the symbolic engine no explicit state graph is ever materialized,
+   which is what lets specifications beyond the explicit bound reach a
+   netlist.  The engines differ only in two capabilities: lazy cover
+   relaxation needs an explicit graph ([E.graph]), and per-signal
+   synthesis fans out across domains only when the view may cross them
+   ([E.portable]). *)
+let run (type a v) (engine : (a, v) Engine.impl) ?ctx ~mode ~emit_style
+    ?max_states stg0 =
+  let module E = (val engine) in
   let csc_mode =
     match mode with Si -> Csc.Speed_independent | Rt _ -> Csc.Timing_aware
   in
-  (* SI mode checks CSC on the unpruned graph: leaving [view] unset lets
-     the encoding search use the symbolic conflict check when [engine]
-     selects it.  RT mode checks conflicts on the pruned graph, which
-     only the explicit engine can produce. *)
-  let view =
+  (* RT mode takes CSC verdicts on the assumption-pruned space; SI mode
+     on the whole one. *)
+  let rt_view =
     match mode with
     | Si -> None
     | Rt _ ->
       Some
-        (fun sg ->
-          let stg = Sg.stg sg in
-          (Prune.apply_consistent sg (gather_assumptions ~fast:true ~mode stg sg))
+        (fun a ->
+          (Prune.apply_consistent engine a
+             (gather_assumptions ~fast:true ~mode engine a))
             .Prune.pruned)
   in
   let stg, insertions =
     run_encode ?ctx
-      ~resolve:(fun () -> Csc.resolve_all ~mode:csc_mode ~engine ?view ?max_states stg0)
+      ~resolve:(fun () ->
+        Csc.resolve_all ~mode:csc_mode ?view:rt_view ?max_states engine stg0)
       stg0
   in
-  let (sg_full, reach_ms) =
-    timed (fun () ->
-        Obs.span "flow.reach" (fun () -> Engine.build ~engine ?max_states stg))
-  in
+  (* On the symbolic engine a same-process re-synthesis reuses the
+     encoding search's analysis outright, and an edited spec re-seeds
+     the fixpoint from the most recent compatible reachable set (delta
+     reachability) instead of starting from the initial state. *)
+  let full, reach_ms = Obs.timed "flow.reach" (fun () -> E.analyze ?max_states stg) in
+  let states_full = E.num_states full in
   Option.iter
-    (fun c ->
-      art_store c ~stage:"reach" ~cost_ms:reach_ms c.keys.reach_key
-        (Sg.num_states sg_full))
+    (fun c -> art_store c ~stage:"reach" ~cost_ms:reach_ms c.keys.reach_key states_full)
     ctx;
-  Obs.set_gauge "flow.sg_states_full" (float_of_int (Sg.num_states sg_full));
-  let covers_t0 = Unix.gettimeofday () in
-  let assumptions =
-    Obs.span "flow.assume" (fun () -> gather_assumptions ~mode stg sg_full)
+  Obs.set_gauge "flow.sg_states_full" (float_of_int states_full);
+  let assumptions, assume_ms =
+    Obs.timed "flow.assume" (fun () -> gather_assumptions ~mode engine full)
   in
-  let sg, used =
+  let (view, used), prune_ms =
     match mode with
-    | Si -> (sg_full, [])
+    | Si -> ((E.unrestricted full, []), 0.0)
     | Rt _ ->
-      let r =
-        Obs.span "flow.prune" (fun () -> Prune.apply_consistent sg_full assumptions)
+      let r, ms =
+        Obs.timed "flow.prune" (fun () -> Prune.apply_consistent engine full assumptions)
       in
-      (r.Prune.pruned, r.Prune.used)
+      ((r.Prune.pruned, r.Prune.used), ms)
   in
-  Obs.set_gauge "flow.sg_states_used" (float_of_int (Sg.num_states sg));
+  let states_used = E.view_states view in
+  Obs.set_gauge "flow.sg_states_used" (float_of_int states_used);
   Obs.set_gauge "flow.assumptions" (float_of_int (List.length assumptions));
-  if Encoding.has_csc sg then fail "CSC conflicts remain after encoding";
+  if E.has_csc view then fail "CSC conflicts remain after encoding";
   (match mode with
   | Si ->
-    if not (Props.is_output_persistent sg) then
+    if not (E.output_persistent full) then
       fail "specification is not output-persistent: no SI implementation"
   | Rt _ -> ());
-  (* Per-signal synthesis is independent, so it fans out across domains.
-     The net's lazy reverse-flow tables are forced first ([Lazy_cover]
-     reads them through [Petri.producers]), and each task builds its own
-     [Nextstate] spec so the BDDs it manipulates stay domain-local: after
-     the join only the spec's signal index and the chosen cover-based
-     implementation are read, never the spec's BDD fields. *)
+  (* The net's lazy reverse-flow tables are forced first ([Lazy_cover]
+     reads them through [Petri.producers]), and each signal builds its
+     own [Nextstate] spec so the BDDs it manipulates stay on the domain
+     that runs it: after a parallel join only the spec's signal index
+     and the chosen cover-based implementation are read, never the
+     spec's BDD fields. *)
   Rtcad_stg.Petri.prepare (Stg.net stg);
-  let chosen =
-    Obs.span "flow.synth" @@ fun () ->
-    Par.map_list
+  let map f xs = if E.portable then Par.map_list f xs else List.map f xs in
+  let chosen, synth_ms =
+    Obs.timed "flow.synth" @@ fun () ->
+    map
       (fun u ->
         (* Cover extraction is structure-sensitive: re-establish the
            canonical variable order in case an earlier symbolic analysis
            left a sifted one behind on this domain. *)
         Bdd.restore_order ();
-        let spec = Nextstate.of_sg sg u in
-        (* BDD sizes are recorded inside the task — the spec's BDDs are
-           domain-local and must not be read after the join.  The counts
-           are structural (per signal), so their sum is jobs-invariant. *)
-        Obs.incr ~by:(Rtcad_logic.Bdd.node_count spec.Nextstate.on_set)
-          "synth.bdd_nodes.on_set";
-        Obs.incr ~by:(Rtcad_logic.Bdd.node_count spec.Nextstate.off_set)
-          "synth.bdd_nodes.off_set";
-        (spec, choose_impl ~mode sg spec))
-      (Stg.non_input_signals (Sg.stg sg))
-  in
-  let covers_ms = (Unix.gettimeofday () -. covers_t0) *. 1000.0 in
-  finish ?ctx ~mode ~stg ~insertions
-    ~reach:(Explicit_graphs { sg_full; sg })
-    ~assumptions ~used ~covers_ms ~emit_style (signals_of_chosen stg chosen)
-
-(* The symbolic flow: state encoding, assumption generation, pruning,
-   next-state extraction and the monotonicity checks all run on the
-   reachable BDD — no explicit state graph is ever materialized, which
-   is what lets specifications beyond the explicit bound reach a
-   netlist.  Two deliberate differences from the explicit path: lazy
-   cover relaxation is skipped (it needs per-state successor walks), and
-   per-signal synthesis runs serially on the calling domain (the view's
-   BDDs are domain-local; the specs here are precisely the ones whose
-   graphs are too large to enumerate, so the per-signal work is BDD-
-   bound, not embarrassingly parallel state scans). *)
-let synthesize_symbolic ?ctx ~mode ~emit_style ?max_states stg0 =
-  let csc_mode =
-    match mode with Si -> Csc.Speed_independent | Rt _ -> Csc.Timing_aware
-  in
-  (* The symbolic counterpart of the RT pruning view: candidate verdicts
-     are taken on the assumption-pruned state space. *)
-  let sym_view =
-    match mode with
-    | Si -> None
-    | Rt _ ->
-      Some
-        (fun sym ->
-          let stg = Symbolic.stg sym in
-          let assumptions =
-            gather_assumptions_sym ~fast:true ~mode stg sym
-          in
-          let r = Prune.apply_consistent_sym sym assumptions in
-          ( Symbolic.view_deadlock_free r.Prune.view,
-            Symbolic.view_has_csc r.Prune.view ))
-  in
-  let stg, insertions =
-    run_encode ?ctx
-      ~resolve:(fun () ->
-        Csc.resolve_all ~mode:csc_mode ~engine:Engine.Symbolic ?sym_view
-          ?max_states stg0)
-      stg0
-  in
-  (* Reachability through the analysis pool: a same-process re-synthesis
-     reuses the encoding search's analysis outright, and an edited spec
-     re-seeds the fixpoint from the most recent compatible reachable set
-     (delta reachability) instead of starting from the initial state. *)
-  let sym, reach_ms =
-    timed (fun () ->
-        Obs.span "flow.reach" (fun () -> Symbolic.analyze_cached ?max_states stg))
-  in
-  Option.iter
-    (fun c ->
-      art_store c ~stage:"reach" ~cost_ms:reach_ms c.keys.reach_key
-        (Symbolic.num_states sym))
-    ctx;
-  Obs.set_gauge "flow.sg_states_full" (float_of_int (Symbolic.num_states sym));
-  let covers_t0 = Unix.gettimeofday () in
-  let assumptions =
-    Obs.span "flow.assume" (fun () -> gather_assumptions_sym ~mode stg sym)
-  in
-  let view, used =
-    match mode with
-    | Si -> (Symbolic.unrestricted sym, [])
-    | Rt _ ->
-      let r =
-        Obs.span "flow.prune" (fun () -> Prune.apply_consistent_sym sym assumptions)
-      in
-      (r.Prune.view, r.Prune.sym_used)
-  in
-  let states_used = Symbolic.view_states view in
-  Obs.set_gauge "flow.sg_states_used" (float_of_int states_used);
-  Obs.set_gauge "flow.assumptions" (float_of_int (List.length assumptions));
-  if Symbolic.view_has_csc view then fail "CSC conflicts remain after encoding";
-  (match mode with
-  | Si ->
-    if not (Symbolic.is_output_persistent sym) then
-      fail "specification is not output-persistent: no SI implementation"
-  | Rt _ -> ());
-  Rtcad_stg.Petri.prepare (Stg.net stg);
-  (* Cover extraction is structure-sensitive: sift back to the canonical
-     identity order so the emitted covers are independent of whatever
-     dynamic reordering the fixpoint ran. *)
-  Bdd.restore_order ();
-  let chosen =
-    Obs.span "flow.synth" @@ fun () ->
-    List.map
-      (fun u ->
-        let spec = Nextstate.of_view view u in
-        Obs.incr ~by:(Rtcad_logic.Bdd.node_count spec.Nextstate.on_set)
-          "synth.bdd_nodes.on_set";
-        Obs.incr ~by:(Rtcad_logic.Bdd.node_count spec.Nextstate.off_set)
-          "synth.bdd_nodes.off_set";
-        (spec, choose_impl_sym ~mode view spec))
+        let spec = Nextstate.of_view engine view u in
+        (* BDD sizes are recorded here, on the domain that owns them.
+           The counts are structural (per signal), so their sum is
+           jobs-invariant. *)
+        Obs.incr ~by:(Bdd.node_count spec.Nextstate.on_set) "synth.bdd_nodes.on_set";
+        Obs.incr ~by:(Bdd.node_count spec.Nextstate.off_set) "synth.bdd_nodes.off_set";
+        (spec, choose_impl ~mode engine view spec))
       (Stg.non_input_signals stg)
   in
-  let covers_ms = (Unix.gettimeofday () -. covers_t0) *. 1000.0 in
-  finish ?ctx ~mode ~stg ~insertions
-    ~reach:
-      (Symbolic_counts { states_full = Symbolic.num_states sym; states_used })
-    ~assumptions ~used ~covers_ms ~emit_style (signals_of_chosen stg chosen)
+  let reach =
+    match (E.graph (E.unrestricted full), E.graph view) with
+    | Some sg_full, Some sg -> Explicit_graphs { sg_full; sg }
+    | _ -> Symbolic_counts { states_full; states_used }
+  in
+  finish ?ctx ~mode ~stg ~insertions ~reach ~assumptions ~used
+    ~covers_ms:(assume_ms +. prune_ms +. synth_ms)
+    ~emit_style (signals_of_chosen stg chosen)
 
 (* --- cached-flow reconstruction ---------------------------------------- *)
 
@@ -645,10 +531,9 @@ let synthesize ?cache ?(mode = rt_default) ?(engine = Engine.Auto) ?emit_style
   match Option.bind ctx (fun ctx -> reconstruct ~ctx ~mode ~emit_style stg0) with
   | Some t -> t
   | None -> (
-    match sel with
-    | `Symbolic -> synthesize_symbolic ?ctx ~mode ~emit_style ?max_states stg0
-    | `Explicit ->
-      synthesize_explicit ?ctx ~mode ~engine ~emit_style ?max_states stg0)
+    match Engine.implementation sel with
+    | Engine.Any impl ->
+      run impl ?ctx ~mode ~emit_style ?max_states stg0)
 
 let pp_report ppf t =
   let stg = t.stg in

@@ -132,15 +132,18 @@ val synthesize :
     cover violates its correctness check, and the STG/state-graph
     exceptions on malformed input.
 
-    [engine] (default [Auto]) chooses the reachability engine.  When it
-    selects symbolic for the (contracted) specification, the entire flow
-    — state encoding, assumption generation, pruning, next-state
-    extraction, monotonicity checks — runs on the reachable BDD and no
-    explicit state graph is ever materialized, which is what lets
-    specifications beyond the explicit bound reach a netlist.  The
-    symbolic path skips lazy cover relaxation (it needs per-state
-    successor walks), so its netlists may be slightly more conservative
-    under {!Rt}; under {!Si} the two engines agree exactly.
+    [engine] (default [Auto]) selects the reachability engine once, for
+    the (contracted) specification, and the one pipeline — state
+    encoding, reachability, assumption generation, pruning, next-state
+    extraction, monotonicity checks — runs on it
+    ({!Rtcad_sg.Engine.S}).  On the symbolic engine no explicit state
+    graph is ever materialized, which is what lets specifications
+    beyond the explicit bound reach a netlist.  Two properties of the
+    engine, not of the caller, shape the run: lazy cover relaxation
+    needs an explicit graph, so symbolic netlists may be slightly more
+    conservative under {!Rt} (under {!Si} the two engines agree
+    exactly); and per-signal synthesis fans out across worker domains
+    only on the explicit engine, whose graphs may cross them.
 
     [cache] enables incremental synthesis: stage artifacts are looked up
     and stored under their {!stage_keys}.  On a full hit the flow value

@@ -243,6 +243,13 @@ let span ?(args = fun () -> []) name f =
       Printexc.raise_with_backtrace e bt
   end
 
+(* A stage cost is needed whether or not anything is recorded, so the
+   clock is read either way; the span itself is [span]'s. *)
+let timed name f =
+  let t0 = time_ms () in
+  let v = span name f in
+  (v, time_ms () -. t0)
+
 (* --- snapshots --- *)
 
 type value =

@@ -61,6 +61,12 @@ val span : ?args:(unit -> (string * string) list) -> string -> (unit -> 'a) -> '
     exactly [f ()].  [args] is only evaluated when enabled, so callers
     may compute labels lazily. *)
 
+val timed : string -> (unit -> 'a) -> 'a * float
+(** [timed name f] is [span name f] paired with its wall-clock duration
+    in milliseconds — a stage cost the caller needs even when recording
+    is off (the artifact store's eviction weights).  Unlike {!span} it
+    reads the clock either way. *)
+
 val time_ms : unit -> float
 (** Wall clock in milliseconds (monotonic enough for span math). *)
 

@@ -8,9 +8,10 @@ let is_input_trans stg t =
 
 (* The generation rule needs the state graph only for one thing: which
    transition pairs are ever enabled together.  Taking the pairs as an
-   argument lets the symbolic flow feed [Symbolic.concurrent_pairs]
-   without materializing a graph; everything else (the timed runs that
-   test each candidate ordering) works on the STG alone. *)
+   argument lets either reachability engine feed them
+   ([Engine.S.concurrent_pairs]) without materializing a graph;
+   everything else (the timed runs that test each candidate ordering)
+   works on the STG alone. *)
 let automatic_of_pairs ?(env_delay = 2.0) ?(gate_delay = 1.0) ?(margin = 0.5)
     ?(runs = 5) ?steps ?(allow_input_first = false) stg pairs =
   let nt = Petri.num_transitions (Stg.net stg) in
@@ -47,4 +48,5 @@ let automatic ?env_delay ?gate_delay ?margin ?runs ?steps ?allow_input_first stg
     sg =
   automatic_of_pairs ?env_delay ?gate_delay ?margin ?runs ?steps
     ?allow_input_first stg
-    (Timed_sim.concurrent_pairs sg)
+    (let module E = (val Rtcad_sg.Engine.explicit) in
+     E.concurrent_pairs sg)

@@ -47,6 +47,6 @@ val automatic_of_pairs :
   (int * int) list ->
   Assumption.t list
 (** {!automatic} with the concurrently-enabled transition pairs supplied
-    directly (e.g. from [Symbolic.concurrent_pairs]) instead of scanned
-    from an explicit graph.  The timed executions that validate each
-    candidate ordering run on the STG alone. *)
+    directly (from either engine's [Engine.S.concurrent_pairs]) instead
+    of scanned from an explicit graph.  The timed executions that
+    validate each candidate ordering run on the STG alone. *)

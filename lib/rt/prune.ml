@@ -1,148 +1,49 @@
 module Sg = Rtcad_sg.Sg
+module Engine = Rtcad_sg.Engine
 module Bdd = Rtcad_logic.Bdd
-module Bitset = Rtcad_util.Bitset
 
-type result = { pruned : Sg.t; used : Assumption.t list; removed_edges : int }
+type 'v result = { pruned : 'v; used : Assumption.t list }
 
 exception Deadlock
 
-let blocked_by assumptions sg s t =
-  List.filter
-    (fun a ->
-      a.Assumption.second = t && a.Assumption.first <> t
-      && List.mem a.Assumption.first (Sg.enabled sg s))
-    assumptions
-
-let apply sg assumptions =
-  let allowed s t = blocked_by assumptions sg s t = [] in
-  (* Survivors: reachable states under the allowed edges. *)
-  let n = Sg.num_states sg in
-  let surviving = Array.make n false in
-  let queue = Queue.create () in
-  surviving.(Sg.initial sg) <- true;
-  Queue.add (Sg.initial sg) queue;
-  while not (Queue.is_empty queue) do
-    let s = Queue.pop queue in
-    List.iter
-      (fun (t, s') ->
-        if allowed s t && not surviving.(s') then begin
-          surviving.(s') <- true;
-          Queue.add s' queue
-        end)
-      (Sg.succs sg s)
-  done;
-  let used = Hashtbl.create 16 in
-  let removed = ref 0 in
-  for s = 0 to n - 1 do
-    if surviving.(s) then
-      List.iter
-        (fun (t, _) ->
-          match blocked_by assumptions sg s t with
-          | [] -> ()
-          | blockers ->
-            incr removed;
-            List.iter (fun a -> Hashtbl.replace used (a.Assumption.first, a.Assumption.second) a) blockers)
-        (Sg.succs sg s)
-  done;
-  let pruned = Sg.restrict sg ~allowed in
-  if Rtcad_sg.Props.deadlock_free sg && not (Rtcad_sg.Props.deadlock_free pruned) then
+let apply (type a v) (impl : (a, v) Engine.impl) (full : a) assumptions =
+  let module E = (val impl) in
+  let pruned, cut =
+    E.prune full
+      (List.map (fun a -> (a.Assumption.first, a.Assumption.second)) assumptions)
+  in
+  if E.deadlock_free (E.unrestricted full) && not (E.deadlock_free pruned) then
     raise Deadlock;
+  (* One assumption per cut order — the last of any duplicates. *)
+  let used = Hashtbl.create 16 in
+  List.iter
+    (fun a ->
+      let o = (a.Assumption.first, a.Assumption.second) in
+      if List.mem o cut then Hashtbl.replace used o a)
+    assumptions;
   {
     pruned;
     used = List.sort Assumption.compare (Hashtbl.fold (fun _ a acc -> a :: acc) used []);
-    removed_edges = !removed;
   }
 
-let apply_consistent sg assumptions =
-  match apply sg assumptions with
+let apply_consistent impl full assumptions =
+  match apply impl full assumptions with
   | r -> r
   | exception Deadlock ->
     let kept =
       List.fold_left
         (fun kept a ->
           let candidate = kept @ [ a ] in
-          match apply sg candidate with
+          match apply impl full candidate with
           | _ -> candidate
           | exception Deadlock -> kept)
         [] assumptions
     in
-    apply sg kept
-
-(* --- symbolic mirror --------------------------------------------------- *)
-
-module Symbolic = Rtcad_sg.Symbolic
-
-type sym_result = {
-  view : Symbolic.view;  (** the reduced state space *)
-  sym_used : Assumption.t list;
-  sym_removed_edges : int;
-}
-
-(* The same reduction computed on the reachable BDD: an assumption
-   [a before b] suppresses [b]'s edges wherever [a] is also enabled, the
-   reachable subset is recomputed through [Symbolic.restrict], and the
-   used set collects assumptions that suppressed an edge out of a
-   surviving state — all without materializing the graph. *)
-let apply_sym sym assumptions =
-  let n = Rtcad_stg.Petri.num_transitions (Rtcad_stg.Stg.net (Symbolic.stg sym)) in
-  let blocked = Array.make n Bdd.zero in
-  List.iter
-    (fun a ->
-      let t = a.Assumption.second in
-      if a.Assumption.first <> t then
-        blocked.(t) <- Bdd.bor blocked.(t) (Symbolic.enabled_set sym a.Assumption.first))
-    assumptions;
-  let allowed t = Bdd.bdiff (Symbolic.enabled_set sym t) blocked.(t) in
-  let view = Symbolic.restrict sym ~allowed in
-  let vreached = Symbolic.view_reached view in
-  let used = Hashtbl.create 16 in
-  let removed = ref 0 in
-  for t = 0 to n - 1 do
-    let cut = Bdd.band vreached (Bdd.band (Symbolic.enabled_set sym t) blocked.(t)) in
-    if not (Bdd.is_zero cut) then begin
-      removed := !removed + Symbolic.count_set sym cut;
-      List.iter
-        (fun a ->
-          if
-            a.Assumption.second = t && a.Assumption.first <> t
-            && Bdd.intersects cut (Symbolic.enabled_set sym a.Assumption.first)
-          then Hashtbl.replace used (a.Assumption.first, a.Assumption.second) a)
-        assumptions
-    end
-  done;
-  if Symbolic.deadlock_count sym = 0 && not (Symbolic.view_deadlock_free view) then
-    raise Deadlock;
-  {
-    view;
-    sym_used =
-      List.sort Assumption.compare (Hashtbl.fold (fun _ a acc -> a :: acc) used []);
-    sym_removed_edges = !removed;
-  }
-
-let apply_consistent_sym sym assumptions =
-  match apply_sym sym assumptions with
-  | r -> r
-  | exception Deadlock ->
-    let kept =
-      List.fold_left
-        (fun kept a ->
-          let candidate = kept @ [ a ] in
-          match apply_sym sym candidate with
-          | _ -> candidate
-          | exception Deadlock -> kept)
-        [] assumptions
-    in
-    apply_sym sym kept
+    apply impl full kept
 
 let codes_bdd sg =
-  let stg = Sg.stg sg in
-  let n = Rtcad_stg.Stg.num_signals stg in
   let acc = ref Bdd.zero in
-  Sg.iter_states
-    (fun s ->
-      let values = Array.init n (fun i -> Sg.value sg s i) in
-      acc := Bdd.bor !acc (Bdd.of_minterm n values))
-    sg;
+  Sg.iter_states (fun s -> acc := Bdd.bor !acc (Engine.code_minterm sg s)) sg;
   !acc
 
 let pruned_codes ~full ~pruned = Bdd.band (codes_bdd full) (Bdd.bnot (codes_bdd pruned))

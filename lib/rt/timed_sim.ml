@@ -80,18 +80,6 @@ let vcd_of_trace stg trace =
     trace;
   w
 
-let concurrent_pairs sg =
-  let pairs = Hashtbl.create 64 in
-  Rtcad_sg.Sg.iter_states
-    (fun s ->
-      let enabled = Rtcad_sg.Sg.enabled sg s in
-      List.iter
-        (fun t1 ->
-          List.iter (fun t2 -> if t1 <> t2 then Hashtbl.replace pairs (t1, t2) ()) enabled)
-        enabled)
-    sg;
-  List.sort compare (Hashtbl.fold (fun p () acc -> p :: acc) pairs [])
-
 let min_gap trace ~first ~second =
   let occs t =
     List.filter_map

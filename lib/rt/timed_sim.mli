@@ -38,10 +38,6 @@ val vcd_of_trace : Rtcad_stg.Stg.t -> trace -> Rtcad_obs.Vcd.writer
     picoseconds, so dumped timestamps are femtoseconds, matching the
     writer's default timescale. *)
 
-val concurrent_pairs : Rtcad_sg.Sg.t -> (int * int) list
-(** Ordered pairs of distinct transitions that are simultaneously enabled
-    in some reachable state of the (untimed) state graph. *)
-
 val min_gap : trace -> first:int -> second:int -> float option
 (** Over all episodes in which [second] fired while [first] was pending or
     had just fired after being concurrently pending, the minimum of

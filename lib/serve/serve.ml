@@ -402,11 +402,13 @@ let decode_synth cfg req =
 
 (* -- sim -- *)
 
+(* Looking a circuit up builds nothing: validation at decode time and
+   the wave's compute share this table, and only compute synthesizes. *)
 let variant_of = function
-  | "si" -> Fifo_impls.speed_independent ()
-  | "rt-bm" -> Fifo_impls.burst_mode ()
-  | "rt" -> Fifo_impls.relative_timing ()
-  | "pulse" -> Fifo_impls.pulse_mode ()
+  | "si" -> Fifo_impls.speed_independent
+  | "rt-bm" -> Fifo_impls.burst_mode
+  | "rt" -> Fifo_impls.relative_timing
+  | "pulse" -> Fifo_impls.pulse_mode
   | c ->
     raise
       (Bad_request
@@ -454,12 +456,12 @@ let decode_sim cfg req =
   | Some circuit ->
     (* Validate the name at decode time so a bad request errors before
        the wave, like every other malformed field. *)
-    ignore (variant_of circuit);
+    let build = variant_of circuit in
     let cycles = Option.value ~default:12 (int_field req "cycles") in
     let vcd = Option.value ~default:false (bool_field req "vcd") in
     let obs_capture = cfg.obs_mode <> Obs_off in
     let compute () =
-      let v = variant_of circuit in
+      let v = build () in
       (* Per-request capture must hold the metrics of the measurement
          alone — the golden corpus snapshots were recorded that way —
          so the synthesis that just built the variant is dropped. *)

@@ -225,34 +225,19 @@ let score ins n_states =
   + (10 * (List.length ins.rise_triggers + List.length ins.fall_triggers))
   + (n_states / 64)
 
-(* The symbolic counterpart of the explicit [view]: given a candidate's
-   symbolic analysis, return (deadlock-free, has-CSC) of the graph as
-   the flow sees it — typically after RT pruning ([Prune.apply_sym]).
-   The default is the unviewed verdict pair. *)
-let sym_verdicts sym_view =
-  match sym_view with
-  | Some f -> f
-  | None ->
-    fun sym -> (Symbolic.deadlock_count sym = 0, Symbolic.has_csc sym)
+(* [view] is the graph the caller's verdicts are taken on: the analysis
+   itself, or what the caller's hook makes of it (typically its RT
+   pruning, which drops edges and can therefore create conflicts the
+   whole space does not have). *)
+let has_conflicts (type a v) (impl : (a, v) Engine.impl) ~(view : a -> v)
+    ?max_states stg =
+  let module E = (val impl) in
+  E.has_csc (view (E.analyze ?max_states stg))
 
-(* Does the (possibly viewed) state graph have CSC conflicts?  When no
-   explicit view is installed and the engine selection picks symbolic,
-   the check runs as one BDD fixpoint instead of an explicit enumeration
-   — viewed through [sym_view] when the caller installs one.  An
-   explicit pruning view removes edges and can therefore *create*
-   conflicts, so it forces the explicit engine. *)
-let has_conflicts ~engine ~view ~sym_view ?max_states stg =
-  match view with
-  | None when Engine.select engine stg = `Symbolic ->
-    snd ((sym_verdicts sym_view) (Symbolic.analyze_cached ?max_states stg))
-  | _ ->
-    let view = Option.value view ~default:Fun.id in
-    Encoding.has_csc (view (Sg.build ?max_states stg))
-
-(* Candidate enumeration shared by both search engines: record the first
-   [max_candidates] insertions in rounds of growing waiter complexity so
-   the budget is spent on the cheapest shapes first (matching the score
-   order).  Returns the insertions in enumeration order. *)
+(* Candidate enumeration: record the first [max_candidates] insertions
+   in rounds of growing waiter complexity so the budget is spent on the
+   cheapest shapes first (matching the score order).  Returns the
+   insertions in enumeration order. *)
 let enumerate ~mode ~name ~trigger_space ~max_candidates stg =
   let budget = ref max_candidates in
   let recorded = ref [] in
@@ -312,24 +297,27 @@ let enumerate ~mode ~name ~trigger_space ~max_candidates stg =
     size_pairs;
   List.rev !recorded
 
-(* The explicit trial-insertion search: builds every candidate graph
-   across domains, then runs the expensive checks in score order. *)
-let search_explicit ~mode ~view ?max_states ~occ ~recorded stg =
-  let view = Option.value view ~default:Fun.id in
-  let base_sg = Sg.build ?max_states stg in
-  let was_persistent = Props.is_output_persistent base_sg in
+(* The trial-insertion search: analyses every candidate across domains,
+   then runs the expensive checks in score order.  The engine decides
+   one thing: a portable analysis is kept across the parallel join, a
+   domain-local one is dropped (workers ship back only the score) and
+   the few score-ordered finalists are re-analysed on the calling
+   domain — through the engine's pool, so the flow's final reachability
+   run of the winning (re-named) insertion can start from it. *)
+let search (type a v) (impl : (a, v) Engine.impl) ~mode ~view ?max_states ~occ
+    ~recorded stg =
+  let module E = (val impl) in
   (* Phase 1: cheap structural validation, collecting scored survivors.
-     The trial builds — the expensive part — are scored across domains.
      Folding the per-candidate results back in enumeration order
-     reproduces the reversed accumulation the serial loop built, so the
+     reproduces the reversed accumulation a serial loop builds, so the
      sorted order (and therefore the chosen insertion) is identical at
      any job count. *)
   let evaluate ins =
-    match Sg.build ?max_states (apply_gen ~occ ~named:false stg ins) with
+    match E.trial ?max_states (apply_gen ~occ ~named:false stg ins) with
     | exception (Sg.Inconsistent _ | Sg.Too_large _ | Petri.Unsafe _) -> None
-    | sg ->
-      if Props.deadlock_free sg && Props.live_transitions sg then
-        Some (score ins (Sg.num_states sg), ins, sg)
+    | a ->
+      if E.deadlock_free (E.unrestricted a) && E.live a then
+        Some (score ins (E.num_states a), ins, if E.portable then Some a else None)
       else None
   in
   let survivors =
@@ -338,126 +326,81 @@ let search_explicit ~mode ~view ?max_states ~occ ~recorded stg =
       []
       (Par.map_array evaluate (Array.of_list recorded))
   in
-  (* Recorded counts, not per-trial increments: the trial-build loop is
-     the hot path; these totals are jobs-invariant because enumeration
+  (* Recorded counts, not per-trial increments: the trial loop is the
+     hot path; these totals are jobs-invariant because enumeration
      order and the candidate budget are. *)
   Obs.incr ~by:(List.length recorded) "csc.candidates";
   Obs.incr ~by:(List.length survivors) "csc.survivors";
-  (* Phase 2: evaluate the expensive checks in score order; the first
-     success is the minimum-score valid insertion. *)
-  let ordered =
-    List.sort (fun (a, _, _) (b, _, _) -> Int.compare a b) survivors
-  in
-  let valid (_, ins, sg) =
-    let ok_persist =
-      match mode with
-      | Timing_aware -> true
-      | Speed_independent -> (not was_persistent) || Props.is_output_persistent sg
-    in
-    if not ok_persist then None
-    else begin
-      let viewed = view sg in
-      if Props.deadlock_free viewed && not (Encoding.has_csc viewed) then Some ins
-      else None
-    end
-  in
-  List.find_map valid ordered
-
-(* The same search run entirely on the reachable BDDs — no candidate
-   graph is ever materialized.  Workers analyse their candidates and
-   ship back only the state count (BDDs are domain-local); the few
-   score-ordered finalists are re-analysed on the calling domain for the
-   persistency and viewed-CSC verdicts. *)
-let search_symbolic ~mode ~sym_view ?max_states ~occ ~recorded stg =
-  let verdicts = sym_verdicts sym_view in
-  let evaluate ins =
-    match Symbolic.analyze ?max_states (apply_gen ~occ ~named:false stg ins) with
-    | exception (Sg.Inconsistent _ | Sg.Too_large _ | Petri.Unsafe _) -> None
-    | sym ->
-      if Symbolic.deadlock_count sym = 0 && Symbolic.live_transitions sym then
-        Some (score ins (Symbolic.num_states sym), ins)
-      else None
-  in
-  let survivors =
-    Array.fold_left
-      (fun acc -> function None -> acc | Some s -> s :: acc)
-      []
-      (Par.map_array evaluate (Array.of_list recorded))
-  in
-  Obs.incr ~by:(List.length recorded) "csc.candidates";
-  Obs.incr ~by:(List.length survivors) "csc.survivors";
-  (* Base persistency matters only for speed-independent insertion; the
-     timing-aware flow never pays for the base re-analysis. *)
+  (* Base persistency matters only for speed-independent insertion. *)
   let was_persistent =
-    lazy (Symbolic.is_output_persistent (Symbolic.analyze_cached ?max_states stg))
+    lazy (E.output_persistent (E.analyze ?max_states stg))
   in
-  let ordered = List.sort (fun (a, _) (b, _) -> Int.compare a b) survivors in
-  let valid (_, ins) =
-    (* Phase 1 analysed this exact STG without raising, so this
-       re-analysis (on the calling domain) cannot fail.  Running it
-       through the pool lets the flow's final reachability run of the
-       winning (re-named) insertion seed from this analysis instead of
-       starting over — the renamed STG differs only in place names, which
-       [Symbolic.seed_compatible] ignores. *)
-    let sym = Symbolic.analyze_cached ?max_states (apply_gen ~occ ~named:false stg ins) in
+  (* Phase 2: the first finalist passing the expensive checks is the
+     minimum-score valid insertion.  Phase 1 analysed each finalist's
+     STG without raising, so re-analysing it cannot fail. *)
+  let valid (_, ins, kept) =
+    let a =
+      match kept with
+      | Some a -> a
+      | None -> E.analyze ?max_states (apply_gen ~occ ~named:false stg ins)
+    in
     let ok_persist =
       match mode with
       | Timing_aware -> true
       | Speed_independent ->
-        (not (Lazy.force was_persistent)) || Symbolic.is_output_persistent sym
+        (not (Lazy.force was_persistent)) || E.output_persistent a
     in
-    if not ok_persist then None
-    else
-      let dl_free, csc = verdicts sym in
-      if dl_free && not csc then Some ins else None
+    ok_persist
+    &&
+    let v = view a in
+    E.deadlock_free v && not (E.has_csc v)
   in
-  List.find_map valid ordered
+  List.find_map
+    (fun ((_, ins, _) as c) -> if valid c then Some ins else None)
+    (List.sort (fun (a, _, _) (b, _, _) -> Int.compare a b) survivors)
 
-let resolve ?(mode = Timing_aware) ?(name = "x") ?(engine = Engine.Auto) ?view
-    ?sym_view ?max_states ?(trigger_space = `Non_input)
-    ?(max_candidates = 25_000) stg =
-  if not (has_conflicts ~engine ~view ~sym_view ?max_states stg) then None
+let resolve_with impl ~mode ~name ~view ?max_states ~trigger_space
+    ~max_candidates stg =
+  if not (has_conflicts impl ~view ?max_states stg) then None
   else
     Obs.span "csc.resolve" ~args:(fun () -> [ ("signal", name) ]) @@ fun () ->
     let occ = first_occurrences stg in
     let recorded = enumerate ~mode ~name ~trigger_space ~max_candidates stg in
-    let winner =
-      match view with
-      | None when Engine.select engine stg = `Symbolic ->
-        search_symbolic ~mode ~sym_view ?max_states ~occ ~recorded stg
-      | _ -> search_explicit ~mode ~view ?max_states ~occ ~recorded stg
-    in
-    match winner with
-    | None -> None
-    | Some ins -> Some (apply stg ins, ins)
+    Option.map
+      (fun ins -> (apply stg ins, ins))
+      (search impl ~mode ~view ?max_states ~occ ~recorded stg)
 
-let resolve_all ?(mode = Timing_aware) ?(engine = Engine.Auto) ?view ?sym_view
-    ?max_states ?(max_signals = 3) ?max_candidates stg =
+let view_or_whole (type a v) (impl : (a, v) Engine.impl) view : a -> v =
+  let module E = (val impl) in
+  Option.value view ~default:E.unrestricted
+
+let resolve ?(mode = Timing_aware) ?(name = "x") ?view ?max_states
+    ?(trigger_space = `Non_input) ?(max_candidates = 25_000) impl stg =
+  resolve_with impl ~mode ~name ~view:(view_or_whole impl view) ?max_states
+    ~trigger_space ~max_candidates stg
+
+let resolve_all ?(mode = Timing_aware) ?view ?max_states ?(max_signals = 3)
+    ?(max_candidates = 25_000) impl stg =
+  let view = view_or_whole impl view in
   (* Try the cheaper non-input trigger space first, then fall back to
      triggering on input edges as well (a state signal set by an input
      literal is perfectly implementable). *)
   let resolve_any name stg =
-    match
-      resolve ~mode ~name ~engine ?view ?sym_view ?max_states ?max_candidates
-        ~trigger_space:`Non_input stg
-    with
-    | Some r -> Some r
-    | None ->
-      resolve ~mode ~name ~engine ?view ?sym_view ?max_states ?max_candidates
-        ~trigger_space:`All stg
+    let attempt trigger_space =
+      resolve_with impl ~mode ~name ~view ?max_states ~trigger_space
+        ~max_candidates stg
+    in
+    match attempt `Non_input with Some r -> Some r | None -> attempt `All
   in
+  let conflicted stg = has_conflicts impl ~view ?max_states stg in
   let rec go stg acc k =
     if k >= max_signals then None
     else
       match resolve_any (Printf.sprintf "x%d" k) stg with
-      | None ->
-        if has_conflicts ~engine ~view ~sym_view ?max_states stg then None
-        else Some (stg, List.rev acc)
+      | None -> if conflicted stg then None else Some (stg, List.rev acc)
       | Some (stg', ins) -> go stg' (ins :: acc) (k + 1)
   in
-  if not (has_conflicts ~engine ~view ~sym_view ?max_states stg) then
-    Some (stg, [])
-  else go stg [] 0
+  if not (conflicted stg) then Some (stg, []) else go stg [] 0
 
 let pp_insertion stg ppf ins =
   let net = Stg.net stg in

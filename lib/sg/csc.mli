@@ -42,46 +42,38 @@ val apply : Rtcad_stg.Stg.t -> insertion -> Rtcad_stg.Stg.t
 val resolve :
   ?mode:mode ->
   ?name:string ->
-  ?engine:Engine.t ->
-  ?view:(Sg.t -> Sg.t) ->
-  ?sym_view:(Symbolic.t -> bool * bool) ->
+  ?view:('a -> 'v) ->
   ?max_states:int ->
   ?trigger_space:[ `Non_input | `All ] ->
   ?max_candidates:int ->
+  ('a, 'v) Engine.impl ->
   Rtcad_stg.Stg.t ->
   (Rtcad_stg.Stg.t * insertion) option
 (** Search for an insertion that makes the (viewed) state graph satisfy
     CSC while remaining safe, consistent, live and deadlock-free.  Returns
-    the extended STG.  [view] post-processes the state graph before the
-    CSC check (identity when omitted).  Returns [None] if the graph
-    already satisfies CSC in the viewed graph or no candidate works.
+    the extended STG.  Returns [None] if the graph already satisfies CSC
+    in the viewed graph or no candidate works.
 
-    When no [view] is supplied and [engine] (default [Auto]) selects
-    symbolic for this STG, the whole search — the initial conflict
-    check, the trial evaluation of every candidate insertion, and the
-    final verdicts — runs on the reachable BDDs; no explicit state
-    graph is ever built.  [sym_view] is the symbolic counterpart of
-    [view] for that path: given a candidate's analysis it returns
-    (deadlock-free, has-CSC) of the graph as the flow sees it
-    (typically after RT pruning); when omitted the unviewed verdicts
-    are used.  Supplying an explicit [view] forces the explicit engine:
-    pruning views drop edges and can create conflicts the unpruned
-    graph does not have, so a symbolic precheck on the full graph would
-    be unsound. *)
+    The given engine runs the whole search — the initial conflict check,
+    the trial analysis of every candidate insertion, and the final
+    verdicts; on the symbolic engine no explicit state graph is ever
+    built.  CSC and deadlock verdicts are taken on [view a] for an
+    analysis [a] (default: the unrestricted view) — typically its
+    relative-timing pruning, which drops edges and can create conflicts
+    the whole space does not have. *)
 
 val resolve_all :
   ?mode:mode ->
-  ?engine:Engine.t ->
-  ?view:(Sg.t -> Sg.t) ->
-  ?sym_view:(Symbolic.t -> bool * bool) ->
+  ?view:('a -> 'v) ->
   ?max_states:int ->
   ?max_signals:int ->
   ?max_candidates:int ->
+  ('a, 'v) Engine.impl ->
   Rtcad_stg.Stg.t ->
   (Rtcad_stg.Stg.t * insertion list) option
-(** Iterate {!resolve} (signals [x0], [x1], …) until the viewed state graph
-    satisfies CSC, inserting at most [max_signals] (default 3) signals.
-    Returns [Some (stg, [])] when no insertion was needed, [None] when the
-    conflicts could not be resolved. *)
+(** Iterate {!resolve} (signals [x0], [x1], …) on one engine until the
+    viewed state graph satisfies CSC, inserting at most [max_signals]
+    (default 3) signals.  Returns [Some (stg, [])] when no insertion was
+    needed, [None] when the conflicts could not be resolved. *)
 
 val pp_insertion : Rtcad_stg.Stg.t -> Format.formatter -> insertion -> unit

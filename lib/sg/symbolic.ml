@@ -909,8 +909,8 @@ let enabled_set sym t = sym.ops.(t).enab
 let count_set sym f = Bdd.sat_count_over sym.all_vars f
 
 (* Ordered pairs of distinct transitions enabled together in some
-   reachable state — the same set [Timed_sim.concurrent_pairs] collects
-   by scanning the explicit graph, in the same sorted order.  (In a
+   reachable state — the same set the explicit engine collects by
+   scanning the graph, in the same sorted order.  (In a
    consistent reachable space place-enabled implies the label check
    passes, so [enab] is the explicit notion of enabled.) *)
 let concurrent_pairs sym =
@@ -925,22 +925,27 @@ let concurrent_pairs sym =
   done;
   !acc
 
-(* A view is the symbolic mirror of [Prune.apply]'s lazy state graph:
+(* A view is the symbolic mirror of a pruned explicit graph:
    the analysis with some edges suppressed per transition, and the
-   states reachable through the edges that remain.  [eff.(t)] is the
-   kept-edge enabling set — [enab] minus the states where an assumption
-   suppresses [t]. *)
+   states reachable through the edges that remain.  On [vreached],
+   [eff.(t)] is the kept-edge enabling set — [enab] minus the states
+   where an assumption suppresses [t]; nothing reads it elsewhere. *)
 type view = {
   base : t;
   vreached : Bdd.t; (* states reachable through kept edges *)
   eff : Bdd.t array; (* kept-edge enabling, per transition *)
 }
 
+(* Every edge is kept.  On reachable states place-enabled is enabled
+   (see [excited_set]) and every use of [eff] is confined to
+   [vreached], so the bare preset cubes serve: the verdicts then build
+   the sets [deadlock_set] and [excited_set] build, not larger ones
+   carrying the polarity literals. *)
 let unrestricted sym =
   {
     base = sym;
     vreached = sym.reached;
-    eff = Array.map (fun op -> op.enab) sym.ops;
+    eff = Array.map (fun op -> op.place_enab) sym.ops;
   }
 
 (* Recompute reachability with each transition [t] firing only from
@@ -992,17 +997,19 @@ let view_excited vw u =
     vw.base.ops;
   !acc
 
-let view_csc_conflict_signals vw =
+(* [csc_conflicting] on the viewed graph.  The conjunctions are built
+   before the places are quantified out: the fused [Bdd.rel_product]
+   form measured ~10 MB more peak RSS on the RT edit loop over rings
+   10-12 (275 -> 286 MB, perfbench edit_loop, 2-vCPU x86-64 VM). *)
+let view_has_csc vw =
   let sym = vw.base in
-  List.filter
+  List.exists
     (fun u ->
       let ex = view_excited vw u in
-      let a = Bdd.exists sym.place_vars (Bdd.band vw.vreached ex) in
-      let b = Bdd.exists sym.place_vars (Bdd.bdiff vw.vreached ex) in
-      Bdd.intersects a b)
+      Bdd.intersects
+        (Bdd.exists sym.place_vars (Bdd.band vw.vreached ex))
+        (Bdd.exists sym.place_vars (Bdd.bdiff vw.vreached ex)))
     (Stg.non_input_signals sym.stg)
-
-let view_has_csc vw = view_csc_conflict_signals vw <> []
 
 (* Project a set of states to its codes, expressed over the signal-index
    variables 0..ns-1 — the space [Nextstate]/[Implement] covers live in.
@@ -1043,7 +1050,7 @@ type regions = {
 }
 
 (* The per-signal next-state regions of the viewed graph, as code sets —
-   exactly what [Nextstate.of_sg] accumulates state by state: with
+   exactly what the explicit engine accumulates state by state: with
    v = current value and e = excited, the next value is v xor e; rise
    is !v&e, fall v&e, high v&!e, low !v&!e. *)
 let code_regions vw u =
@@ -1064,8 +1071,8 @@ let code_regions vw u =
   }
 
 (* Per-transition excitation code sets for [u]'s [dir] edges, in
-   [Stg.transitions_of] order — the symbolic mirror of
-   [Implement.excitation_instances]. *)
+   [Stg.transitions_of] order — what the explicit engine collects state
+   by state. *)
 let excitation_regions vw u dir =
   let sym = vw.base in
   List.map

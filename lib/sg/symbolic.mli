@@ -131,18 +131,15 @@ val enabled_set : t -> int -> Rtcad_logic.Bdd.t
     (preset marked, edge polarity consistent).  Not intersected with the
     reachable set. *)
 
-val count_set : t -> Rtcad_logic.Bdd.t -> int
-(** Number of states in a set over the present variables. *)
-
 val concurrent_pairs : t -> (int * int) list
 (** Ordered pairs of distinct transitions enabled together in some
-    reachable state — same contents and order as
-    [Timed_sim.concurrent_pairs] on the explicit graph. *)
+    reachable state — same contents and order as the explicit
+    engine's scan of the graph ({!Engine.S.concurrent_pairs}). *)
 
 type view
 (** A state graph viewed through per-transition edge suppression — the
-    symbolic mirror of [Prune]'s lazy state graph.  The unrestricted
-    view is the analysis itself. *)
+    symbolic mirror of a pruned explicit graph (the lazy state graph).
+    The unrestricted view is the analysis itself. *)
 
 val unrestricted : t -> view
 
@@ -161,8 +158,8 @@ val view_deadlock_free : view -> bool
 val view_excited : view -> int -> Rtcad_logic.Bdd.t
 (** States with a kept edge of the given signal. *)
 
-val view_csc_conflict_signals : view -> int list
 val view_has_csc : view -> bool
+(** {!has_csc} on the viewed graph. *)
 
 type regions = {
   on : Rtcad_logic.Bdd.t;
@@ -177,11 +174,11 @@ type regions = {
 
 val code_regions : view -> int -> regions
 (** The next-state regions of a signal in the viewed graph, as code
-    sets: what [Nextstate.of_sg] accumulates from an explicit graph.
+    sets: what the explicit engine accumulates state by state.
     [on] and [off] may intersect — that intersection is the CSC
-    conflict [Nextstate.of_sg] reports as [Conflict]. *)
+    conflict [Nextstate.of_view] reports as [Conflict]. *)
 
 val excitation_regions : view -> int -> Rtcad_stg.Stg.dir -> Rtcad_logic.Bdd.t list
 (** Per-transition excitation code sets for a signal's rising or
-    falling edges, in [Stg.transitions_of] order — the symbolic mirror
-    of [Implement.excitation_instances]. *)
+    falling edges, in [Stg.transitions_of] order — what the explicit
+    engine collects state by state. *)

@@ -48,20 +48,6 @@ let respects_spec (spec : Nextstate.spec) impl =
   in
   Bdd.subset spec.on_set f && Bdd.is_zero (Bdd.band spec.off_set f)
 
-let excitation_instances sg u dir =
-  let stg = Sg.stg sg in
-  let transitions = Stg.transitions_of stg u dir in
-  List.map
-    (fun t ->
-      let acc = ref Bdd.zero in
-      Sg.iter_states
-        (fun s ->
-          if List.mem t (Sg.enabled sg s) then
-            acc := Bdd.bor !acc (Nextstate.minterm_of_state sg s))
-        sg;
-      !acc)
-    transitions
-
 let monotonic_with ~rises ~falls impl =
   match impl with
   | Complex c ->
@@ -71,10 +57,12 @@ let monotonic_with ~rises ~falls impl =
     Cover.is_monotonic_cover set ~entered:rises
     && Cover.is_monotonic_cover reset ~entered:falls
 
-let monotonic sg (spec : Nextstate.spec) impl =
+let monotonic (type a v) (engine : (a, v) Rtcad_sg.Engine.impl) (vw : v)
+    (spec : Nextstate.spec) impl =
+  let module E = (val engine) in
   monotonic_with
-    ~rises:(excitation_instances sg spec.signal Stg.Rise)
-    ~falls:(excitation_instances sg spec.signal Stg.Fall)
+    ~rises:(E.excitation_regions vw spec.signal Stg.Rise)
+    ~falls:(E.excitation_regions vw spec.signal Stg.Fall)
     impl
 
 let pp stg ppf impl =

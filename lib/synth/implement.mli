@@ -29,11 +29,12 @@ val respects_spec : Nextstate.spec -> impl -> bool
 (** The implementation's next value matches the spec on every reachable
     code (on/off sets); don't-cares are free. *)
 
-val monotonic : Rtcad_sg.Sg.t -> Nextstate.spec -> impl -> bool
+val monotonic :
+  ('a, 'v) Rtcad_sg.Engine.impl -> 'v -> Nextstate.spec -> impl -> bool
 (** The monotonic-cover condition for speed-independent hazard freedom:
     every cube of the (set) cover intersects the excitation region of at
-    most one transition instance of the signal, and likewise for the
-    reset cover. *)
+    most one transition instance of the signal in the engine view, and
+    likewise for the reset cover. *)
 
 val monotonic_with :
   rises:Rtcad_logic.Bdd.t list ->
@@ -41,7 +42,7 @@ val monotonic_with :
   impl ->
   bool
 (** {!monotonic} with the per-transition excitation instances supplied
-    directly (e.g. from [Symbolic.excitation_regions]). *)
+    directly. *)
 
 val pp : Rtcad_stg.Stg.t -> Format.formatter -> impl -> unit
 (** Prints e.g. [lo = li x' + lo ri'] or [set: …  reset: …] with signal

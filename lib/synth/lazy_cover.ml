@@ -55,7 +55,7 @@ let early_region sg t =
         && (not (List.mem t enabled))
         && List.exists (fun p -> Bitset.mem m p) pre
         && List.for_all pending_ok pre
-      then acc := Bdd.bor !acc (Nextstate.minterm_of_state sg s))
+      then acc := Bdd.bor !acc (Rtcad_sg.Engine.code_minterm sg s))
     sg;
   !acc
 

@@ -1,6 +1,6 @@
 module Bdd = Rtcad_logic.Bdd
-module Sg = Rtcad_sg.Sg
 module Stg = Rtcad_stg.Stg
+module Symbolic = Rtcad_sg.Symbolic
 
 type spec = {
   signal : int;
@@ -15,61 +15,17 @@ type spec = {
 
 exception Conflict of int * string
 
-let minterm_of_state sg s =
-  let n = Stg.num_signals (Sg.stg sg) in
-  Bdd.of_minterm n (Array.init n (fun i -> Sg.value sg s i))
-
-let of_sg sg u =
-  let on = ref Bdd.zero
-  and off = ref Bdd.zero
-  and rise = ref Bdd.zero
-  and fall = ref Bdd.zero
-  and high = ref Bdd.zero
-  and low = ref Bdd.zero in
-  Sg.iter_states
-    (fun s ->
-      let m = minterm_of_state sg s in
-      let v = Sg.value sg s u and e = Sg.excited sg s u in
-      let next = v <> e in
-      if next then on := Bdd.bor !on m else off := Bdd.bor !off m;
-      match (v, e) with
-      | false, true -> rise := Bdd.bor !rise m
-      | true, true -> fall := Bdd.bor !fall m
-      | true, false -> high := Bdd.bor !high m
-      | false, false -> low := Bdd.bor !low m)
-    sg;
-  if not (Bdd.is_zero (Bdd.band !on !off)) then
-    raise
-      (Conflict
-         ( u,
-           Format.asprintf "signal %s: a code requires both next values"
-             (Stg.signal_name (Sg.stg sg) u) ));
-  {
-    signal = u;
-    on_set = !on;
-    off_set = !off;
-    dc_set = Bdd.bnot (Bdd.bor !on !off);
-    rise_region = !rise;
-    fall_region = !fall;
-    high_region = !high;
-    low_region = !low;
-  }
-
-let all sg = List.map (of_sg sg) (Stg.non_input_signals (Sg.stg sg))
-
-(* The same classification read off a symbolic view: the code regions
-   arrive as BDDs directly (no per-state loop), and the on/off overlap
-   check is the same CSC test [of_sg] performs minterm by minterm. *)
-let of_view vw u =
-  let module Symbolic = Rtcad_sg.Symbolic in
-  let stg = Symbolic.stg (Symbolic.view_base vw) in
-  let r = Symbolic.code_regions vw u in
+(* The engine extracts the code regions; a code in both the on- and the
+   off-set is the CSC conflict. *)
+let of_view (type a v) (impl : (a, v) Rtcad_sg.Engine.impl) (vw : v) u =
+  let module E = (val impl) in
+  let r = E.code_regions vw u in
   if not (Bdd.is_zero (Bdd.band r.Symbolic.on r.Symbolic.off)) then
     raise
       (Conflict
          ( u,
            Format.asprintf "signal %s: a code requires both next values"
-             (Stg.signal_name stg u) ));
+             (Stg.signal_name (E.view_stg vw) u) ));
   {
     signal = u;
     on_set = r.Symbolic.on;
@@ -81,11 +37,6 @@ let of_view vw u =
     low_region = r.Symbolic.low;
   }
 
-let pp sg ppf spec =
-  let stg = Sg.stg sg in
-  let n = Stg.num_signals stg in
-  Format.fprintf ppf "%s: on=%d off=%d dc=%d rise=%d fall=%d"
-    (Stg.signal_name stg spec.signal)
-    (Bdd.sat_count spec.on_set n) (Bdd.sat_count spec.off_set n)
-    (Bdd.sat_count spec.dc_set n) (Bdd.sat_count spec.rise_region n)
-    (Bdd.sat_count spec.fall_region n)
+let all (type a v) (impl : (a, v) Rtcad_sg.Engine.impl) (vw : v) =
+  let module E = (val impl) in
+  List.map (of_view impl vw) (Stg.non_input_signals (E.view_stg vw))

@@ -1,10 +1,10 @@
-(** Next-state functions extracted from a state graph.
+(** Next-state functions extracted from a state space.
 
-    For every non-input signal [u] the states of the graph are classified
-    by the implied next value of [u]: the {e on-set} (next value 1), the
+    For every non-input signal [u] the states are classified by the
+    implied next value of [u]: the {e on-set} (next value 1), the
     {e off-set} (next value 0), and the {e don't-care} set (codes not
-    reachable in the graph — synthesizing from a relative-timing pruned
-    graph therefore automatically gains the pruned codes as don't-cares).
+    reachable — synthesizing from a relative-timing pruned view
+    therefore automatically gains the pruned codes as don't-cares).
     The excitation regions — where the signal is enabled to rise or to
     fall — drive generalized-C (set/reset) implementations and the
     monotonic-cover hazard check.  Lazy (early-enabling) relaxations are
@@ -24,21 +24,13 @@ type spec = {
 }
 
 exception Conflict of int * string
-(** The graph violates CSC for this signal: some code is both in the
+(** The view violates CSC for this signal: some code is both in the
     on-set and the off-set.  Carries the signal and a description. *)
 
-val of_sg : Rtcad_sg.Sg.t -> int -> spec
-(** [of_sg sg u] computes the specification of signal [u].  Raises
+val of_view : ('a, 'v) Rtcad_sg.Engine.impl -> 'v -> int -> spec
+(** [of_view engine view u] computes the specification of signal [u]
+    from an engine view (an explicit graph is its own view).  Raises
     {!Conflict} on CSC violation. *)
 
-val all : Rtcad_sg.Sg.t -> spec list
+val all : ('a, 'v) Rtcad_sg.Engine.impl -> 'v -> spec list
 (** Specifications for every non-input signal. *)
-
-val of_view : Rtcad_sg.Symbolic.view -> int -> spec
-(** {!of_sg} read off a symbolic view instead of an explicit graph:
-    same regions, same {!Conflict} condition and message. *)
-
-val minterm_of_state : Rtcad_sg.Sg.t -> int -> Rtcad_logic.Bdd.t
-(** Characteristic minterm of a state's code. *)
-
-val pp : Rtcad_sg.Sg.t -> Format.formatter -> spec -> unit

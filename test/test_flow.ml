@@ -107,35 +107,57 @@ let report r = Format.asprintf "%a@.%a" Flow.pp_report r Netlist.pp r.Flow.netli
 let test_cross_engine_synthesis () =
   let module Engine = Rtcad_sg.Engine in
   let module Bdd = Rtcad_logic.Bdd in
+  let outcome mode engine stg =
+    match Flow.synthesize ~mode ~engine stg with
+    | r -> Ok r
+    | exception Flow.Synthesis_failure msg -> Error msg
+  in
+  let si = ("si", Flow.Si) and rt = ("rt", Flow.rt_default) in
   List.iter
-    (fun name ->
-      let stg = List.assoc name (Library.all_named ()) in
+    (fun (name, stg, modes) ->
       List.iter
         (fun (mode_name, mode) ->
-          let explicit =
-            Flow.synthesize ~mode ~engine:Engine.Explicit stg
-          in
-          let symbolic = Flow.synthesize ~mode ~engine:Engine.Symbolic stg in
-          Alcotest.(check string)
-            (Printf.sprintf "%s/%s: netlists agree across engines" name mode_name)
-            (report explicit) (report symbolic);
-          (* Conformance of the symbolic netlist, on its own terms. *)
-          let conf = Check.conformance ~constraints:symbolic.Flow.assumptions symbolic in
-          check
-            (Printf.sprintf "%s/%s: symbolic netlist conforms" name mode_name)
-            true conf.Rtcad_verify.Conformance.ok;
-          (* And again with a perturbed table: sift, reclaim, resynthesize. *)
-          ignore (Bdd.reorder ());
-          ignore (Bdd.gc ());
-          let perturbed = Flow.synthesize ~mode ~engine:Engine.Symbolic stg in
-          Bdd.restore_order ();
-          Alcotest.(check string)
-            (Printf.sprintf "%s/%s: identical after forced reorder+gc" name mode_name)
-            (report symbolic) (report perturbed))
-        [ ("si", Flow.Si); ("rt", Flow.rt_default) ])
-    (* Two specs keep the suite fast; the remaining library specs are
-       covered by the cross-engine analysis goldens in test_symbolic. *)
-    [ "fifo"; "selector" ]
+          let case what = Printf.sprintf "%s/%s: %s" name mode_name what in
+          match
+            (outcome mode Engine.Explicit stg, outcome mode Engine.Symbolic stg)
+          with
+          | Error e, Error s -> Alcotest.(check string) (case "same refusal") e s
+          | Ok explicit, Ok symbolic ->
+            Alcotest.(check string)
+              (case "netlists agree across engines")
+              (report explicit) (report symbolic);
+            (* Conformance of the symbolic netlist, on its own terms. *)
+            let conf =
+              Check.conformance ~constraints:symbolic.Flow.assumptions symbolic
+            in
+            check (case "symbolic netlist conforms") true
+              conf.Rtcad_verify.Conformance.ok;
+            (* And again with a perturbed table: sift, reclaim,
+               resynthesize.  A groupless sift of the whole table costs
+               seconds, so two specs carry this check. *)
+            if List.mem name [ "fifo"; "selector" ] then begin
+              ignore (Bdd.reorder ());
+              ignore (Bdd.gc ());
+              let perturbed = Flow.synthesize ~mode ~engine:Engine.Symbolic stg in
+              Bdd.restore_order ();
+              Alcotest.(check string)
+                (case "identical after forced reorder+gc")
+                (report symbolic) (report perturbed)
+            end
+          | _ -> Alcotest.fail (case "one engine refused, the other did not"))
+        modes)
+    (* The library in both modes, except fifo_x, whose forced-symbolic
+       synthesis takes tens of seconds, and the rings, which are in RT
+       mode only: SI synthesis of a ring is the CSC search's documented
+       limit (ring3's refusal alone takes ~90 s on the symbolic engine,
+       which exhausts the candidate budget). *)
+    (List.filter_map
+       (fun (name, stg) ->
+         if name = "fifo_x" || name = "ring3" then None else Some (name, stg, [ si; rt ]))
+       (Library.all_named ())
+    @ List.map
+        (fun n -> (Printf.sprintf "ring%d" n, Library.ring n, [ rt ]))
+        [ 3; 4; 5; 6 ])
 
 let test_symbolic_flow_accessors () =
   let module Engine = Rtcad_sg.Engine in

@@ -188,6 +188,25 @@ let test_span_survives_exception () =
       check "span recorded despite the exception" true
         (List.exists (fun a -> a.Obs.name = "boom") snap.Obs.span_aggs))
 
+let test_timed () =
+  let busy () =
+    Unix.sleepf 0.002;
+    7
+  in
+  Obs.set_enabled false;
+  let v, ms = Obs.timed "t" busy in
+  check_int "off: value passed through" 7 v;
+  check "off: elapsed time measured" true (ms >= 2.0);
+  with_obs (fun () ->
+      check "off: nothing recorded" true ((Obs.snapshot ()).Obs.events = []);
+      let v, ms = Obs.timed "t" busy in
+      check_int "on: value passed through" 7 v;
+      match (Obs.snapshot ()).Obs.events with
+      | [ (_, e) ] ->
+        check "on: the span is named" true (e.Obs.sp_name = "t");
+        check "on: elapsed covers the span" true (ms >= e.Obs.sp_dur_ms && ms >= 2.0)
+      | _ -> Alcotest.fail "expected exactly one span")
+
 (* --- sinks --- *)
 
 let contains haystack needle =
@@ -305,6 +324,7 @@ let suite =
         Alcotest.test_case "metric kind mismatch" `Quick test_kind_mismatch;
         Alcotest.test_case "reset on re-enable" `Quick test_reset_on_reenable;
         Alcotest.test_case "span survives exception" `Quick test_span_survives_exception;
+        Alcotest.test_case "timed measures, records only when on" `Quick test_timed;
         Alcotest.test_case "summary json normalised" `Quick test_summary_json_normalised;
         Alcotest.test_case "bucket percentiles" `Quick test_percentile_of_buckets;
         Alcotest.test_case "percentile edge cases" `Quick

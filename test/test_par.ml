@@ -13,6 +13,7 @@ module Library = Rtcad_stg.Library
 module Transform = Rtcad_stg.Transform
 module Sg = Rtcad_sg.Sg
 module Csc = Rtcad_sg.Csc
+module Engine = Rtcad_sg.Engine
 module Flow = Rtcad_core.Flow
 module Fuzz = Rtcad_check.Fuzz
 
@@ -155,7 +156,7 @@ let test_csc_equivalence () =
   let stg = Transform.contract_dummies (Library.fifo ()) in
   let resolve jobs =
     with_jobs jobs (fun () ->
-        match Csc.resolve ~mode:Csc.Speed_independent stg with
+        match Csc.resolve ~mode:Csc.Speed_independent Engine.explicit stg with
         | None -> None
         | Some (_, ins) -> Some ins)
   in

@@ -9,6 +9,7 @@ module Sg = Rtcad_sg.Sg
 module Props = Rtcad_sg.Props
 module Encoding = Rtcad_sg.Encoding
 module Csc = Rtcad_sg.Csc
+module Engine = Rtcad_sg.Engine
 module Assumption = Rtcad_rt.Assumption
 module Timed_sim = Rtcad_rt.Timed_sim
 module Generate = Rtcad_rt.Generate
@@ -128,7 +129,10 @@ let test_timed_sim_choice () =
 let test_concurrent_pairs () =
   let stg = Library.c_element () in
   let sg = Sg.build stg in
-  let pairs = Timed_sim.concurrent_pairs sg in
+  let pairs =
+    let module E = (val Engine.explicit) in
+    E.concurrent_pairs sg
+  in
   let a_plus = trans_named stg "a+" and b_plus = trans_named stg "b+" in
   check "a+/b+ concurrent" true (List.mem (a_plus, b_plus) pairs);
   check "a+/a- not concurrent" true
@@ -206,11 +210,21 @@ let test_prune_reduces () =
   let stg = contracted_fifo () in
   let sg = Sg.build stg in
   let auto = Generate.automatic stg sg in
-  let r = Prune.apply sg auto in
+  let r = Prune.apply Engine.explicit sg auto in
   check "fewer states" true (Sg.num_states r.Prune.pruned < Sg.num_states sg);
   check "no deadlock" true (Props.deadlock_free r.Prune.pruned);
   check "some assumptions used" true (r.Prune.used <> []);
-  check "removed edges counted" true (r.Prune.removed_edges > 0)
+  (* A used assumption removed an edge out of a surviving state. *)
+  check "surviving state lost an edge" true
+    (let lost = ref false in
+     Sg.iter_states
+       (fun s ->
+         match Sg.find_state sg (Sg.marking r.Prune.pruned s) with
+         | Some s' when Sg.num_succs r.Prune.pruned s < Sg.num_succs sg s' ->
+           lost := true
+         | _ -> ())
+       r.Prune.pruned;
+     !lost)
 
 let test_prune_soundness () =
   (* Every state of the pruned graph must exist in the full graph with the
@@ -218,7 +232,7 @@ let test_prune_soundness () =
   let stg = contracted_fifo () in
   let sg = Sg.build stg in
   let auto = Generate.automatic stg sg in
-  let r = Prune.apply sg auto in
+  let r = Prune.apply Engine.explicit sg auto in
   let ok = ref true in
   Sg.iter_states
     (fun s ->
@@ -233,7 +247,7 @@ let test_prune_soundness () =
 let test_prune_empty_assumptions () =
   let stg = contracted_fifo () in
   let sg = Sg.build stg in
-  let r = Prune.apply sg [] in
+  let r = Prune.apply Engine.explicit sg [] in
   check_int "identity" (Sg.num_states sg) (Sg.num_states r.Prune.pruned);
   check "nothing used" true (r.Prune.used = [])
 
@@ -241,7 +255,7 @@ let test_pruned_codes () =
   let stg = contracted_fifo () in
   let sg = Sg.build stg in
   let auto = Generate.automatic stg sg in
-  let r = Prune.apply sg auto in
+  let r = Prune.apply Engine.explicit sg auto in
   let dc = Prune.pruned_codes ~full:sg ~pruned:r.Prune.pruned in
   (* The DC set is non-empty iff pruning removed at least one whole code. *)
   let count = Rtcad_logic.Bdd.sat_count dc (Stg.num_signals stg) in
@@ -263,21 +277,22 @@ let test_user_assumption_fig6 () =
   let user = Assumption.of_edges stg ("ri", Stg.Fall) ("li", Stg.Rise) in
   check_int "one pair" 1 (List.length user);
   let auto = Generate.automatic stg sg in
-  let r = Prune.apply sg (user @ auto) in
+  let r = Prune.apply Engine.explicit sg (user @ auto) in
   check "no deadlock" true (Props.deadlock_free r.Prune.pruned);
   check "tighter than auto alone" true
-    (Sg.num_states r.Prune.pruned <= Sg.num_states (Prune.apply sg auto).Prune.pruned)
+    (Sg.num_states r.Prune.pruned
+    <= Sg.num_states (Prune.apply Engine.explicit sg auto).Prune.pruned)
 
 (* Timing-aware CSC resolution end to end. *)
 
 let rt_view sg =
   let stg = Sg.stg sg in
   let auto = Generate.automatic ~runs:2 stg sg in
-  (Prune.apply sg auto).Prune.pruned
+  (Prune.apply Engine.explicit sg auto).Prune.pruned
 
 let test_timing_aware_resolution () =
   let stg = contracted_fifo () in
-  match Csc.resolve ~mode:Csc.Timing_aware ~view:rt_view stg with
+  match Csc.resolve ~mode:Csc.Timing_aware ~view:rt_view Engine.explicit stg with
   | None -> Alcotest.fail "expected a timing-aware insertion"
   | Some (stg', _) ->
     let v = rt_view (Sg.build stg') in
@@ -291,7 +306,7 @@ let test_fifo_with_state_rt () =
   let sg = Sg.build stg in
   check "conflicted untimed" true (Encoding.has_csc sg);
   let auto = Generate.automatic ~allow_input_first:true stg sg in
-  let r = Prune.apply sg auto in
+  let r = Prune.apply Engine.explicit sg auto in
   check "resolved under RT" false (Encoding.has_csc r.Prune.pruned)
 
 let suite =

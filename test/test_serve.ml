@@ -515,6 +515,39 @@ let test_obs_capture_normalised () =
     Alcotest.(check string) "hit replays the captured summary" summary (str_of hit "obs")
   | _ -> Alcotest.fail "expected two responses"
 
+(* A sim request synthesizes its FIFO variant once, in the wave's
+   compute: decoding only looks the circuit name up, so a repeated
+   request is a pure cache hit, and an unknown name still errors before
+   the wave. *)
+let test_sim_decode_builds_nothing () =
+  Obs.set_enabled true;
+  let responses, snap =
+    Fun.protect
+      ~finally:(fun () -> Obs.set_enabled false)
+      (fun () ->
+        let sim = req {|{"op":"sim","circuit":"rt"}|} in
+        let r = Serve.run_lines (config ()) [ sim; sim ] in
+        (r, Obs.snapshot ()))
+  in
+  (match responses with
+  | [ miss; hit ] ->
+    Alcotest.(check bool) "both answered" true (is_ok miss && is_ok hit);
+    Alcotest.(check bool) "repeat served from the cache" true
+      ((not (cached miss)) && cached hit);
+    Alcotest.(check string) "same measurement" (result_str miss) (result_str hit)
+  | _ -> Alcotest.fail "expected two responses");
+  let synths =
+    List.filter (fun (_, e) -> e.Obs.sp_name = "flow.synthesize") snap.Obs.events
+  in
+  Alcotest.(check int) "one flow.synthesize span" 1 (List.length synths);
+  match Serve.run_lines (config ()) [ req {|{"op":"sim","circuit":"nope"}|} ] with
+  | [ line ] ->
+    Alcotest.(check string) "unknown circuit kind" "bad_request" (error_kind line);
+    Alcotest.(check (option string)) "unknown circuit message"
+      (Some {|unknown circuit "nope" (si, rt-bm, rt, pulse or rappid)|})
+      (Json.member "message" (field line "error") |> Fun.flip Option.bind Json.to_str)
+  | _ -> Alcotest.fail "expected one response"
+
 (* --- mux socket driver --- *)
 
 let connect_retry path =
@@ -832,6 +865,8 @@ let suite =
           test_acceptance_session;
         Alcotest.test_case "per-request capture is deterministic" `Slow
           test_obs_capture_normalised;
+        Alcotest.test_case "sim decode builds no variant" `Quick
+          test_sim_decode_builds_nothing;
         Alcotest.test_case "mux socket driver" `Quick test_socket_driver;
         Alcotest.test_case "mux: concurrent client streams deterministic" `Slow
           test_mux_concurrent_determinism;

@@ -9,6 +9,7 @@ module Sg = Rtcad_sg.Sg
 module Props = Rtcad_sg.Props
 module Encoding = Rtcad_sg.Encoding
 module Csc = Rtcad_sg.Csc
+module Engine = Rtcad_sg.Engine
 
 let check = Alcotest.(check bool)
 let check_int = Alcotest.(check int)
@@ -184,7 +185,7 @@ let test_csc_resolve_si () =
   (* Dummies must be contracted first: a pending silent transition aliases
      codes in a way no state signal can repair. *)
   let stg = Rtcad_stg.Transform.contract_dummies (Library.fifo ()) in
-  match Csc.resolve ~mode:Csc.Speed_independent stg with
+  match Csc.resolve ~mode:Csc.Speed_independent Engine.explicit stg with
   | None -> Alcotest.fail "expected an SI insertion"
   | Some (stg', ins) ->
     check_int "one more signal" (Stg.num_signals stg + 1) (Stg.num_signals stg');
@@ -196,7 +197,7 @@ let test_csc_resolve_si () =
       (ins.Csc.rise_waiters <> [] || ins.Csc.fall_waiters <> [])
 
 let test_csc_already_fine () =
-  check "no insertion needed" true (Csc.resolve (Library.c_element ()) = None)
+  check "no insertion needed" true (Csc.resolve Engine.explicit (Library.c_element ()) = None)
 
 let test_fifo_with_state_consistent () =
   let sg = Sg.build (Library.fifo_with_state ()) in

@@ -25,7 +25,7 @@ let celement_sg () =
 let test_nextstate_partition () =
   let stg, sg = celement_sg () in
   let c = Stg.signal_index stg "c" in
-  let spec = Nextstate.of_sg sg c in
+  let spec = Nextstate.of_view Rtcad_sg.Engine.explicit sg c in
   let n = Stg.num_signals stg in
   (* on/off partition the reachable codes; regions partition each side. *)
   check "on/off disjoint" true (Bdd.is_zero (Bdd.band spec.Nextstate.on_set spec.Nextstate.off_set));
@@ -44,13 +44,13 @@ let test_nextstate_conflict () =
   let ro = Stg.signal_index stg "ro" in
   check "conflict raised" true
     (try
-       ignore (Nextstate.of_sg sg ro);
+       ignore (Nextstate.of_view Rtcad_sg.Engine.explicit sg ro);
        false
      with Nextstate.Conflict _ -> true)
 
 let test_nextstate_all () =
   let stg, sg = celement_sg () in
-  let specs = Nextstate.all sg in
+  let specs = Nextstate.all Rtcad_sg.Engine.explicit sg in
   check_int "one non-input signal" 1 (List.length specs);
   check "it's c" true
     ((List.nth specs 0).Nextstate.signal = Stg.signal_index stg "c")
@@ -59,10 +59,10 @@ let test_nextstate_all () =
 
 let test_implement_celement () =
   let _, sg = celement_sg () in
-  let spec = List.nth (Nextstate.all sg) 0 in
+  let spec = List.nth (Nextstate.all Rtcad_sg.Engine.explicit sg) 0 in
   let cx = Implement.synthesize spec Implement.Complex_gate in
   check "complex respects spec" true (Implement.respects_spec spec cx);
-  check "complex monotonic" true (Implement.monotonic sg spec cx);
+  check "complex monotonic" true (Implement.monotonic Rtcad_sg.Engine.explicit sg spec cx);
   (* The classic majority function: 3 cubes of 2 literals. *)
   (match cx with
   | Implement.Complex cover ->
@@ -79,7 +79,7 @@ let test_implement_celement () =
 
 let test_implement_next_value () =
   let _, sg = celement_sg () in
-  let spec = List.nth (Nextstate.all sg) 0 in
+  let spec = List.nth (Nextstate.all Rtcad_sg.Engine.explicit sg) 0 in
   let gc = Implement.synthesize spec Implement.Generalized_c in
   (* c currently low, both inputs high -> next 1; one input low -> hold. *)
   let env_ab a b v = fun s -> if s = 0 then a else if s = 1 then b else v in
@@ -91,7 +91,7 @@ let test_implement_next_value () =
 let test_gc_set_reset_disjoint () =
   (* On every reachable code, set and reset must not fire together. *)
   let _, sg = celement_sg () in
-  let spec = List.nth (Nextstate.all sg) 0 in
+  let spec = List.nth (Nextstate.all Rtcad_sg.Engine.explicit sg) 0 in
   match Implement.synthesize spec Implement.Generalized_c with
   | Implement.Gc { set; reset } ->
     let s = Rtcad_logic.Cover.to_bdd set and r = Rtcad_logic.Cover.to_bdd reset in
@@ -106,12 +106,12 @@ let rt_sg () =
   let stg = Library.fifo_with_state () in
   let sg = Sg.build stg in
   let auto = Rtcad_rt.Generate.automatic ~allow_input_first:true stg sg in
-  (stg, (Rtcad_rt.Prune.apply sg auto).Rtcad_rt.Prune.pruned)
+  (stg, (Rtcad_rt.Prune.apply Rtcad_sg.Engine.explicit sg auto).Rtcad_rt.Prune.pruned)
 
 let test_lazy_relax_x () =
   let stg, sg = rt_sg () in
   let x = Stg.signal_index stg "x" in
-  let spec = Nextstate.of_sg sg x in
+  let spec = Nextstate.of_view Rtcad_sg.Engine.explicit sg x in
   let gc = Implement.synthesize spec Implement.Generalized_c in
   let r = Lazy_cover.relax sg spec gc in
   (* Laziness never raises cost. *)
@@ -125,7 +125,7 @@ let test_lazy_relax_x () =
 
 let test_lazy_complex_untouched () =
   let _, sg = rt_sg () in
-  let spec = List.nth (Nextstate.all sg) 0 in
+  let spec = List.nth (Nextstate.all Rtcad_sg.Engine.explicit sg) 0 in
   let cx = Implement.synthesize spec Implement.Complex_gate in
   let r = Lazy_cover.relax sg spec cx in
   check "complex unchanged" true (r.Lazy_cover.impl == cx);
@@ -146,7 +146,7 @@ let test_early_region_excludes_inputs () =
 
 let test_emit_atomic () =
   let stg, sg = celement_sg () in
-  let spec = List.nth (Nextstate.all sg) 0 in
+  let spec = List.nth (Nextstate.all Rtcad_sg.Engine.explicit sg) 0 in
   let cx = Implement.synthesize spec Implement.Complex_gate in
   let nl = Emit.emit stg [ (Stg.signal_index stg "c", cx) ] in
   check_int "single gate" 1 (Netlist.gate_count nl);
@@ -160,7 +160,7 @@ let test_emit_atomic () =
 
 let test_emit_decomposed () =
   let stg, sg = celement_sg () in
-  let spec = List.nth (Nextstate.all sg) 0 in
+  let spec = List.nth (Nextstate.all Rtcad_sg.Engine.explicit sg) 0 in
   let cx = Implement.synthesize spec Implement.Complex_gate in
   let nl = Emit.emit ~decompose:true stg [ (Stg.signal_index stg "c", cx) ] in
   (* 3 AND cubes + OR root. *)
@@ -168,7 +168,7 @@ let test_emit_decomposed () =
 
 let test_emit_styles () =
   let stg, sg = celement_sg () in
-  let spec = List.nth (Nextstate.all sg) 0 in
+  let spec = List.nth (Nextstate.all Rtcad_sg.Engine.explicit sg) 0 in
   let cx = Implement.synthesize spec Implement.Complex_gate in
   let static = Emit.emit ~style:Emit.Static_cmos stg [ (spec.Nextstate.signal, cx) ] in
   let domino =
@@ -186,7 +186,7 @@ let test_emit_styles () =
 
 let test_emit_errors () =
   let stg, sg = celement_sg () in
-  let spec = List.nth (Nextstate.all sg) 0 in
+  let spec = List.nth (Nextstate.all Rtcad_sg.Engine.explicit sg) 0 in
   let cx = Implement.synthesize spec Implement.Complex_gate in
   check "missing impl" true
     (try
@@ -212,7 +212,7 @@ let test_emit_initial_values () =
   Stg.Build.mark_between b "y+" "a+";
   let stg = Stg.Build.finish b in
   let sg = Sg.build stg in
-  let spec = List.nth (Nextstate.all sg) 0 in
+  let spec = List.nth (Nextstate.all Rtcad_sg.Engine.explicit sg) 0 in
   let cx = Implement.synthesize spec Implement.Complex_gate in
   let nl = Emit.emit stg [ (spec.Nextstate.signal, cx) ] in
   check "y starts high" true (Netlist.initial_value nl (Netlist.find_net nl "y"))
