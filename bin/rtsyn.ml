@@ -286,7 +286,8 @@ let run_check () obs engine spec =
     | us ->
       Format.printf "CSC conflicts on %d signal(s): %s@." (List.length us)
         (String.concat " " (List.map (Stg.signal_name stg) us)));
-    Format.printf "%a@." Symbolic.pp_stats sym);
+    Format.printf "%a@." Symbolic.pp_stats sym;
+    Symbolic.publish_table_gauges ());
   0
 
 (* --- synth --- *)

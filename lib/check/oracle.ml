@@ -12,6 +12,10 @@ module Store = Rtcad_core.Store
 module Symbolic = Rtcad_sg.Symbolic
 module Transform = Rtcad_stg.Transform
 module Bdd = Rtcad_logic.Bdd
+module Engine = Rtcad_sg.Engine
+module Timed_sim = Rtcad_rt.Timed_sim
+module Generate = Rtcad_rt.Generate
+module Assumption = Rtcad_rt.Assumption
 
 type finding = { oracle : string; detail : string }
 type verdict = Pass | Fail of finding | Skip of string
@@ -164,6 +168,67 @@ let diff_sg ?(fast = fun stg -> fast_sg_result stg) stg =
     | _ ->
       fail oracle "reference says %a, optimized says %a" Ref_sg.pp_result reference
         Ref_sg.pp_result fast_r
+
+(* ------------------------------------------------------------------ *)
+(* Assumption generation: engines' pairs, indexed gaps vs list scans   *)
+(* ------------------------------------------------------------------ *)
+
+let diff_assumptions ~seed stg =
+  let oracle = "assumptions" in
+  match Sg.build stg with
+  | exception (Sg.Inconsistent _ | Sg.Too_large _ | Petri.Unsafe _) ->
+    Skip "no state graph"
+  | sg -> (
+    let module X = (val Engine.explicit) in
+    let pairs = X.concurrent_pairs sg in
+    let sym_pairs = Symbolic.concurrent_pairs (Symbolic.analyze stg) in
+    let name = Petri.transition_name (Stg.net stg) in
+    let nt = Petri.num_transitions (Stg.net stg) in
+    let gap_str = function None -> "none" | Some g -> Printf.sprintf "%h" g in
+    (* Three jittered runs and one without jitter, whose exact ties
+       (zero-delay dummies) make episodes that merely touch. *)
+    let traces =
+      List.init 4 (fun k ->
+          Timed_sim.run
+            ~jitter:(if k < 3 then 0.05 else 0.0)
+            ~seed:(seed + k) ~steps:(40 * nt) stg)
+    in
+    let gap_mismatch trace =
+      let ix = Timed_sim.index trace in
+      let rec go p =
+        if p >= nt * nt then None
+        else
+          let first = p / nt and second = p mod nt in
+          let fast = Timed_sim.gap ix ~first ~second
+          and reference = Ref_rt.min_gap trace ~first ~second in
+          if Option.equal Float.equal fast reference then go (p + 1)
+          else Some (first, second, fast, reference)
+      in
+      go 0
+    in
+    let generated allow_input_first =
+      ( allow_input_first,
+        Generate.automatic_of_pairs ~allow_input_first stg pairs,
+        Ref_rt.automatic_of_pairs ~allow_input_first stg pairs )
+    in
+    if pairs <> sym_pairs then
+      fail oracle "concurrent pairs: explicit %d vs symbolic %d" (List.length pairs)
+        (List.length sym_pairs)
+    else
+      match List.find_map gap_mismatch traces with
+      | Some (first, second, fast, reference) ->
+        fail oracle "gap %s -> %s: indexed %s vs reference %s" (name first)
+          (name second) (gap_str fast) (gap_str reference)
+      | None -> (
+        match
+          List.find_opt
+            (fun (_, fast, reference) -> not (List.equal Assumption.equal fast reference))
+            [ generated false; generated true ]
+        with
+        | Some (allow_input_first, fast, reference) ->
+          fail oracle "allow_input_first=%b: generated %d assumption(s), reference %d"
+            allow_input_first (List.length fast) (List.length reference)
+        | None -> Pass))
 
 (* ------------------------------------------------------------------ *)
 (* Event simulation: allocation-free kernel vs sorted-agenda model     *)

@@ -31,6 +31,16 @@ val diff_sg :
     {!fast_sg_result}) exists so the test suite can emulate a broken
     kernel and check that the oracle catches and shrinks it. *)
 
+val diff_assumptions : seed:int -> Rtcad_stg.Stg.t -> verdict
+(** Diff what relative-timing assumption generation computes against
+    its naive reference: the explicit and symbolic engines' concurrent
+    pairs must be equal; on four timed runs (seeds [seed] to [seed + 3],
+    the last without jitter) {!Rtcad_rt.Timed_sim.gap} must equal
+    {!Ref_rt.min_gap} for every ordered transition pair, [None]
+    included; and {!Rtcad_rt.Generate.automatic_of_pairs} must equal
+    {!Ref_rt.automatic_of_pairs}, with and without [allow_input_first].
+    [Skip] when the specification has no state graph. *)
+
 val diff_sim : Rtcad_util.Rng.t -> verdict
 (** Generate a random netlist and timed stimulus schedule, run the
     allocation-free {!Rtcad_netlist.Sim} and the sorted-agenda

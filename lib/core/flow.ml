@@ -6,6 +6,7 @@ module Transform = Rtcad_stg.Transform
 module Sg = Rtcad_sg.Sg
 module Engine = Rtcad_sg.Engine
 module Csc = Rtcad_sg.Csc
+module Symbolic = Rtcad_sg.Symbolic
 module Bdd = Rtcad_logic.Bdd
 module Assumption = Rtcad_rt.Assumption
 module Generate = Rtcad_rt.Generate
@@ -264,21 +265,23 @@ let choose_impl (type a v) ~mode (engine : (a, v) Engine.impl) (view : v)
    a stage-key hit — an exact replay of the cached winning insertions.
    The search is deterministic in its inputs (jobs-invariant candidate
    enumeration and tie-breaks), so replaying its decisions reproduces
-   the encoded STG bit for bit without re-running any analysis. *)
+   the encoded STG bit for bit without re-running any analysis.  A
+   search also returns the analysis of the encoded STG that its last
+   conflict check ran; a replay has none. *)
 let run_encode ?ctx ~resolve stg0 =
   let cached = Option.bind ctx (fun c -> art_find c c.keys.encode) in
   match cached with
   | Some (ins : Csc.insertion list) ->
     Obs.incr "flow.cache.encode_hit";
-    (List.fold_left Csc.apply stg0 ins, ins)
+    (List.fold_left Csc.apply stg0 ins, ins, None)
   | None -> (
     let result, ms = Obs.timed "flow.encode" resolve in
     match result with
-    | Some (stg, ins) ->
+    | Some (stg, ins, a) ->
       Option.iter
         (fun c -> art_store c ~stage:"encode" ~cost_ms:ms c.keys.encode ins)
         ctx;
-      (stg, ins)
+      (stg, ins, Some a)
     | None -> fail "state encoding failed: CSC conflicts could not be resolved")
 
 (* Emission, back-annotation and the conformance gate — identical for
@@ -385,17 +388,21 @@ let run (type a v) (engine : (a, v) Engine.impl) ?ctx ~mode ~emit_style
              (gather_assumptions ~fast:true ~mode engine a))
             .Prune.pruned)
   in
-  let stg, insertions =
+  let stg, insertions, encoded =
     run_encode ?ctx
       ~resolve:(fun () ->
         Csc.resolve_all ~mode:csc_mode ?view:rt_view ?max_states engine stg0)
       stg0
   in
-  (* On the symbolic engine a same-process re-synthesis reuses the
-     encoding search's analysis outright, and an edited spec re-seeds
-     the fixpoint from the most recent compatible reachable set (delta
-     reachability) instead of starting from the initial state. *)
-  let full, reach_ms = Obs.timed "flow.reach" (fun () -> E.analyze ?max_states stg) in
+  (* The encoding search hands over the analysis its last conflict check
+     took of the encoded STG.  Only a replayed encoding analyses here: on
+     the symbolic engine an edited spec re-seeds the fixpoint from the
+     most recent compatible reachable set (delta reachability) instead
+     of starting from the initial state. *)
+  let full, reach_ms =
+    Obs.timed "flow.reach" (fun () ->
+        match encoded with Some a -> a | None -> E.analyze ?max_states stg)
+  in
   let states_full = E.num_states full in
   Option.iter
     (fun c -> art_store c ~stage:"reach" ~cost_ms:reach_ms c.keys.reach_key states_full)
@@ -505,6 +512,13 @@ let reconstruct ~ctx ~mode ~emit_style stg0 =
 
 let synthesize ?cache ?(mode = rt_default) ?(engine = Engine.Auto) ?emit_style
     ?max_states spec_stg =
+  (* A pipeline run on the symbolic engine publishes the BDD table's
+     gauges once it has ended, outside the flow's span: counting the
+     table walks all of it. *)
+  let symbolic_run = ref false in
+  Fun.protect
+    ~finally:(fun () -> if !symbolic_run then Symbolic.publish_table_gauges ())
+  @@ fun () ->
   Obs.span "flow.synthesize" @@ fun () ->
   let stg0 = Transform.contract_dummies ~strict:false spec_stg in
   let sel = Engine.select engine stg0 in
@@ -533,6 +547,7 @@ let synthesize ?cache ?(mode = rt_default) ?(engine = Engine.Auto) ?emit_style
   | None -> (
     match Engine.implementation sel with
     | Engine.Any impl ->
+      symbolic_run := sel = `Symbolic;
       run impl ?ctx ~mode ~emit_style ?max_states stg0)
 
 let pp_report ppf t =

@@ -25,17 +25,20 @@ let automatic_of_pairs ?(env_delay = 2.0) ?(gate_delay = 1.0) ?(margin = 0.5)
     if allow_input_first then pairs
     else List.filter (fun (t1, _) -> not (is_input_trans stg t1)) pairs
   in
-  let traces =
+  (* Each run is indexed once, so a candidate costs one sweep over its
+     two transitions' episodes per run. *)
+  let runs =
     List.init runs (fun i ->
-        Timed_sim.run ~env_delay ~gate_delay ~jitter:0.05 ~seed:(i + 1) ~steps stg)
+        Timed_sim.index
+          (Timed_sim.run ~env_delay ~gate_delay ~jitter:0.05 ~seed:(i + 1) ~steps stg))
   in
   let holds (t1, t2) =
     List.for_all
-      (fun trace ->
-        match Timed_sim.min_gap trace ~first:t1 ~second:t2 with
+      (fun ix ->
+        match Timed_sim.gap ix ~first:t1 ~second:t2 with
         | Some gap -> gap >= margin
         | None -> false)
-      traces
+      runs
   in
   List.filter_map
     (fun pair ->

@@ -80,20 +80,78 @@ let vcd_of_trace stg trace =
     trace;
   w
 
-let min_gap trace ~first ~second =
-  let occs t =
-    List.filter_map
-      (fun e -> if e.transition = t then Some (e.enabled_at, e.fired_at) else None)
-      trace
+(* Per-transition episode arrays, in firing order.  A transition is
+   rescheduled only once it has fired, so its episodes follow each other
+   in time: the episodes of [second] that overlap one episode of [first]
+   form a contiguous run whose start only moves forward with [first]'s
+   episodes, and a pair's gap is one merge-like sweep.  [ordered.(t)]
+   records that both of [t]'s endpoint sequences are nondecreasing,
+   which the sweep needs.  The simulator's 1e-12 tie tolerance can break
+   that by a few ulps around a zero-delay transition, and a trace is
+   plain data; an unordered transition is compared pairwise instead, so
+   every answer is exact. *)
+type index = {
+  enabled : float array array;
+  fired : float array array;
+  ordered : bool array;
+}
+
+let index trace =
+  let n = List.fold_left (fun n e -> max n (e.transition + 1)) 0 trace in
+  let count = Array.make n 0 in
+  List.iter (fun e -> count.(e.transition) <- count.(e.transition) + 1) trace;
+  let enabled = Array.map (fun c -> Array.make c 0.0) count in
+  let fired = Array.map (fun c -> Array.make c 0.0) count in
+  let filled = Array.make n 0 in
+  List.iter
+    (fun e ->
+      let t = e.transition in
+      let k = filled.(t) in
+      enabled.(t).(k) <- e.enabled_at;
+      fired.(t).(k) <- e.fired_at;
+      filled.(t) <- k + 1)
+    trace;
+  let nondecreasing a =
+    let ok = ref true in
+    for k = 1 to Array.length a - 1 do
+      if a.(k) < a.(k - 1) then ok := false
+    done;
+    !ok
   in
-  let o1 = occs first and o2 = occs second in
-  let overlap (e1, f1) (e2, f2) = e1 <= f2 && e2 <= f1 in
-  let gaps =
-    List.concat_map
-      (fun i1 ->
-        List.filter_map
-          (fun i2 -> if overlap i1 i2 then Some (snd i2 -. snd i1) else None)
-          o2)
-      o1
+  let ordered =
+    Array.init n (fun t -> nondecreasing enabled.(t) && nondecreasing fired.(t))
   in
-  match gaps with [] -> None | g :: rest -> Some (List.fold_left min g rest)
+  { enabled; fired; ordered }
+
+let gap ix ~first ~second =
+  let n = Array.length ix.fired in
+  if first >= n || second >= n then None
+  else begin
+    let e1 = ix.enabled.(first) and f1 = ix.fired.(first) in
+    let e2 = ix.enabled.(second) and f2 = ix.fired.(second) in
+    let n1 = Array.length f1 and n2 = Array.length f2 in
+    (* Closed intervals: episodes that merely touch (a zero-delay
+       transition fired exactly when the other was enabled) overlap. *)
+    let best = ref infinity in
+    let seen g = if g < !best then best := g in
+    if ix.ordered.(first) && ix.ordered.(second) then begin
+      (* [j] is the first [second] episode not over before episode [i]
+         of [first] began; it overlaps [i] iff it began before [i]
+         fired, and, firing earliest of the overlapping run, it gives
+         [i]'s smallest gap. *)
+      let j = ref 0 in
+      for i = 0 to n1 - 1 do
+        while !j < n2 && f2.(!j) < e1.(i) do
+          incr j
+        done;
+        if !j < n2 && e2.(!j) <= f1.(i) then seen (f2.(!j) -. f1.(i))
+      done
+    end
+    else
+      for i = 0 to n1 - 1 do
+        for j = 0 to n2 - 1 do
+          if e1.(i) <= f2.(j) && e2.(j) <= f1.(i) then seen (f2.(j) -. f1.(i))
+        done
+      done;
+    if !best < infinity then Some !best else None
+  end

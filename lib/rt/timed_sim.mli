@@ -38,8 +38,16 @@ val vcd_of_trace : Rtcad_stg.Stg.t -> trace -> Rtcad_obs.Vcd.writer
     picoseconds, so dumped timestamps are femtoseconds, matching the
     writer's default timescale. *)
 
-val min_gap : trace -> first:int -> second:int -> float option
-(** Over all episodes in which [second] fired while [first] was pending or
-    had just fired after being concurrently pending, the minimum of
-    [fired_at second - fired_at first].  [None] if the two were never
-    concurrently pending. *)
+type index
+(** A trace's firing episodes — each firing's enabling and firing
+    instants — grouped by transition, in firing order. *)
+
+val index : trace -> index
+(** Time linear in the trace's length. *)
+
+val gap : index -> first:int -> second:int -> float option
+(** Over all pairs of an episode of [first] and an episode of [second]
+    that overlap in time (closed intervals: touching counts), the
+    minimum of [fired_at second - fired_at first].  [None] if the two
+    were never pending together.  Costs time linear in the two
+    transitions' episode counts. *)

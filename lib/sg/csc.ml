@@ -225,14 +225,16 @@ let score ins n_states =
   + (10 * (List.length ins.rise_triggers + List.length ins.fall_triggers))
   + (n_states / 64)
 
-(* [view] is the graph the caller's verdicts are taken on: the analysis
-   itself, or what the caller's hook makes of it (typically its RT
-   pruning, which drops edges and can therefore create conflicts the
-   whole space does not have). *)
-let has_conflicts (type a v) (impl : (a, v) Engine.impl) ~(view : a -> v)
+(* One conflict check.  [view] is the graph the caller's verdicts are
+   taken on: the analysis itself, or what the caller's hook makes of it
+   (typically its RT pruning, which drops edges and can therefore create
+   conflicts the whole space does not have).  A clean verdict carries
+   the analysis it was taken on, so nothing analyses that STG again. *)
+let conflict_free (type a v) (impl : (a, v) Engine.impl) ~(view : a -> v)
     ?max_states stg =
   let module E = (val impl) in
-  E.has_csc (view (E.analyze ?max_states stg))
+  let a = E.analyze ?max_states stg in
+  if E.has_csc (view a) then None else Some a
 
 (* Candidate enumeration: record the first [max_candidates] insertions
    in rounds of growing waiter complexity so the budget is spent on the
@@ -359,16 +361,15 @@ let search (type a v) (impl : (a, v) Engine.impl) ~mode ~view ?max_states ~occ
     (fun ((_, ins, _) as c) -> if valid c then Some ins else None)
     (List.sort (fun (a, _, _) (b, _, _) -> Int.compare a b) survivors)
 
-let resolve_with impl ~mode ~name ~view ?max_states ~trigger_space
-    ~max_candidates stg =
-  if not (has_conflicts impl ~view ?max_states stg) then None
-  else
-    Obs.span "csc.resolve" ~args:(fun () -> [ ("signal", name) ]) @@ fun () ->
-    let occ = first_occurrences stg in
-    let recorded = enumerate ~mode ~name ~trigger_space ~max_candidates stg in
-    Option.map
-      (fun ins -> (apply stg ins, ins))
-      (search impl ~mode ~view ?max_states ~occ ~recorded stg)
+(* The search for one new signal, on an STG known to have conflicts. *)
+let insert impl ~mode ~name ~view ?max_states ~trigger_space ~max_candidates
+    stg =
+  Obs.span "csc.resolve" ~args:(fun () -> [ ("signal", name) ]) @@ fun () ->
+  let occ = first_occurrences stg in
+  let recorded = enumerate ~mode ~name ~trigger_space ~max_candidates stg in
+  Option.map
+    (fun ins -> (apply stg ins, ins))
+    (search impl ~mode ~view ?max_states ~occ ~recorded stg)
 
 let view_or_whole (type a v) (impl : (a, v) Engine.impl) view : a -> v =
   let module E = (val impl) in
@@ -376,8 +377,11 @@ let view_or_whole (type a v) (impl : (a, v) Engine.impl) view : a -> v =
 
 let resolve ?(mode = Timing_aware) ?(name = "x") ?view ?max_states
     ?(trigger_space = `Non_input) ?(max_candidates = 25_000) impl stg =
-  resolve_with impl ~mode ~name ~view:(view_or_whole impl view) ?max_states
-    ~trigger_space ~max_candidates stg
+  let view = view_or_whole impl view in
+  match conflict_free impl ~view ?max_states stg with
+  | Some _ -> None
+  | None ->
+    insert impl ~mode ~name ~view ?max_states ~trigger_space ~max_candidates stg
 
 let resolve_all ?(mode = Timing_aware) ?view ?max_states ?(max_signals = 3)
     ?(max_candidates = 25_000) impl stg =
@@ -385,22 +389,25 @@ let resolve_all ?(mode = Timing_aware) ?view ?max_states ?(max_signals = 3)
   (* Try the cheaper non-input trigger space first, then fall back to
      triggering on input edges as well (a state signal set by an input
      literal is perfectly implementable). *)
-  let resolve_any name stg =
+  let insert_any name stg =
     let attempt trigger_space =
-      resolve_with impl ~mode ~name ~view ?max_states ~trigger_space
-        ~max_candidates stg
+      insert impl ~mode ~name ~view ?max_states ~trigger_space ~max_candidates
+        stg
     in
     match attempt `Non_input with Some r -> Some r | None -> attempt `All
   in
-  let conflicted stg = has_conflicts impl ~view ?max_states stg in
+  (* Each STG is checked once.  An insertion is kept only while fewer
+     than [max_signals] signals are in, so the [max_signals]-th search
+     runs but its result is dropped. *)
   let rec go stg acc k =
-    if k >= max_signals then None
-    else
-      match resolve_any (Printf.sprintf "x%d" k) stg with
-      | None -> if conflicted stg then None else Some (stg, List.rev acc)
-      | Some (stg', ins) -> go stg' (ins :: acc) (k + 1)
+    match conflict_free impl ~view ?max_states stg with
+    | Some a -> Some (stg, List.rev acc, a)
+    | None -> (
+      match insert_any (Printf.sprintf "x%d" k) stg with
+      | Some (stg', ins) when k + 1 < max_signals -> go stg' (ins :: acc) (k + 1)
+      | Some _ | None -> None)
   in
-  if not (conflicted stg) then Some (stg, []) else go stg [] 0
+  go stg [] 0
 
 let pp_insertion stg ppf ins =
   let net = Stg.net stg in

@@ -70,10 +70,13 @@ val resolve_all :
   ?max_candidates:int ->
   ('a, 'v) Engine.impl ->
   Rtcad_stg.Stg.t ->
-  (Rtcad_stg.Stg.t * insertion list) option
+  (Rtcad_stg.Stg.t * insertion list * 'a) option
 (** Iterate {!resolve} (signals [x0], [x1], …) on one engine until the
-    viewed state graph satisfies CSC, inserting at most [max_signals]
-    (default 3) signals.  Returns [Some (stg, [])] when no insertion was
-    needed, [None] when the conflicts could not be resolved. *)
+    viewed state graph satisfies CSC, keeping fewer than [max_signals]
+    (default 3) signals.  Returns the encoded STG, the insertions
+    ([[]] when none was needed) and the engine's analysis of the encoded
+    STG that the final conflict-free verdict was taken on; [None] when
+    the conflicts could not be resolved.  Each STG on the way is
+    analysed once for its verdict. *)
 
 val pp_insertion : Rtcad_stg.Stg.t -> Format.formatter -> insertion -> unit

@@ -95,19 +95,30 @@ module Explicit_engine = struct
   let live = Props.live_transitions
   let output_persistent = Props.is_output_persistent
 
+  (* An nt x nt matrix marked from each state's successor transitions,
+     read out row by row: ascending [(t1, t2)] order without a sort. *)
   let concurrent_pairs sg =
-    let pairs = Hashtbl.create 64 in
+    let nt = Petri.num_transitions (Stg.net (Sg.stg sg)) in
+    let together = Bytes.make (nt * nt) '\000' in
+    let enabled = Array.make nt 0 in
     Sg.iter_states
       (fun s ->
-        let enabled = Sg.enabled sg s in
-        List.iter
-          (fun t1 ->
-            List.iter
-              (fun t2 -> if t1 <> t2 then Hashtbl.replace pairs (t1, t2) ())
-              enabled)
-          enabled)
+        let k = ref 0 in
+        Sg.iter_succs sg s (fun t _ ->
+            enabled.(!k) <- t;
+            incr k);
+        for i = 0 to !k - 1 do
+          for j = 0 to !k - 1 do
+            let t1 = enabled.(i) and t2 = enabled.(j) in
+            if t1 <> t2 then Bytes.set together ((t1 * nt) + t2) '\001'
+          done
+        done)
       sg;
-    List.sort compare (Hashtbl.fold (fun p () acc -> p :: acc) pairs [])
+    let pairs = ref [] in
+    for p = (nt * nt) - 1 downto 0 do
+      if Bytes.get together p <> '\000' then pairs := (p / nt, p mod nt) :: !pairs
+    done;
+    !pairs
 
   let unrestricted sg = sg
 

@@ -572,10 +572,6 @@ let force_preds sg =
     sg.preds <- Some p;
     p
 
-let num_preds sg s =
-  let off, _ = force_preds sg in
-  (off.(s + 1) - off.(s)) / 2
-
 let rec pairs_of_packed dat lo k acc =
   if k < lo then acc
   else pairs_of_packed dat lo (k - 2) ((dat.(k), dat.(k + 1)) :: acc)
@@ -594,10 +590,6 @@ let iter_packed f dat lo hi =
   done
 
 let iter_succs sg s f = iter_packed f sg.succ_dat sg.succ_off.(s) sg.succ_off.(s + 1)
-
-let iter_preds sg s f =
-  let off, dat = force_preds sg in
-  iter_packed f dat off.(s) off.(s + 1)
 
 let rec transitions_of_packed dat lo k acc =
   if k < lo then acc else transitions_of_packed dat lo (k - 2) (dat.(k) :: acc)

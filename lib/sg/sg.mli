@@ -80,14 +80,11 @@ val preds : t -> int -> (int * int) list
 (** Incoming edges as [(transition, source)] pairs. *)
 
 val num_succs : t -> int -> int
-val num_preds : t -> int -> int
 
 val iter_succs : t -> int -> (int -> int -> unit) -> unit
 (** [iter_succs sg s f] calls [f transition target] for each outgoing
     edge, in {!succs} order, without materializing the list.  Edges are
     stored packed; prefer this in hot loops. *)
-
-val iter_preds : t -> int -> (int -> int -> unit) -> unit
 
 val enabled : t -> int -> int list
 (** Transitions enabled in a state. *)

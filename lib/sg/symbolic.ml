@@ -127,7 +127,6 @@ type t = {
   levels : int;
   image_ops : int;
   peak_nodes : int;
-  clusters : int;
 }
 
 (* --- variable order --------------------------------------------------- *)
@@ -567,21 +566,7 @@ let analyze ?max_states ?seed stg =
     Obs.set_gauge "sg.symbolic.clusters" (float_of_int n_clusters);
     Obs.set_gauge "sg.symbolic.reached_nodes"
       (float_of_int (Bdd.node_count !reached));
-    Obs.set_gauge "sg.symbolic.peak_nodes" (float_of_int !peak);
-    let ts = Bdd.table_stats () in
-    Obs.set_gauge "bdd.unique_nodes" (float_of_int ts.Bdd.unique_nodes);
-    Obs.set_gauge "bdd.op_cache_entries" (float_of_int ts.Bdd.op_cache_entries);
-    Obs.set_gauge "bdd.op_cache_capacity"
-      (float_of_int ts.Bdd.op_cache_capacity);
-    Obs.set_gauge "bdd.op_cache_hit_rate"
-      (if ts.Bdd.op_cache_lookups = 0 then 0.
-       else
-         float_of_int ts.Bdd.op_cache_hits
-         /. float_of_int ts.Bdd.op_cache_lookups);
-    Obs.set_gauge "bdd.reorders" (float_of_int ts.Bdd.reorders);
-    Obs.set_gauge "bdd.reorder_swaps" (float_of_int ts.Bdd.reorder_swaps);
-    Obs.set_gauge "bdd.gc_runs" (float_of_int ts.Bdd.gc_runs);
-    Obs.set_gauge "bdd.gc_reclaimed" (float_of_int ts.Bdd.gc_reclaimed)
+    Obs.set_gauge "sg.symbolic.peak_nodes" (float_of_int !peak)
   end;
   {
     stg;
@@ -597,12 +582,31 @@ let analyze ?max_states ?seed stg =
     levels = !levels;
     image_ops = !image_ops;
     peak_nodes = !peak;
-    clusters = n_clusters;
   }
+
+(* Counting the unique table walks every weak bucket, so the table's
+   gauges are published by the top-level operations (a symbolic flow, a
+   check), not by each analysis: a CSC search runs one per candidate. *)
+let publish_table_gauges () =
+  if Obs.enabled () then begin
+    let ts = Bdd.table_stats () in
+    Obs.set_gauge "bdd.unique_nodes" (float_of_int ts.Bdd.unique_nodes);
+    Obs.set_gauge "bdd.op_cache_entries" (float_of_int ts.Bdd.op_cache_entries);
+    Obs.set_gauge "bdd.op_cache_capacity"
+      (float_of_int ts.Bdd.op_cache_capacity);
+    Obs.set_gauge "bdd.op_cache_hit_rate"
+      (if ts.Bdd.op_cache_lookups = 0 then 0.
+       else
+         float_of_int ts.Bdd.op_cache_hits
+         /. float_of_int ts.Bdd.op_cache_lookups);
+    Obs.set_gauge "bdd.reorders" (float_of_int ts.Bdd.reorders);
+    Obs.set_gauge "bdd.reorder_swaps" (float_of_int ts.Bdd.reorder_swaps);
+    Obs.set_gauge "bdd.gc_runs" (float_of_int ts.Bdd.gc_runs);
+    Obs.set_gauge "bdd.gc_reclaimed" (float_of_int ts.Bdd.gc_reclaimed)
+  end
 
 let stg sym = sym.stg
 let num_states sym = sym.num_states
-let num_levels sym = sym.levels
 
 (* --- analysis reuse pool ----------------------------------------------- *)
 
@@ -685,10 +689,6 @@ let analyze_cached ?max_states stg =
     Seeds.remember sym;
     sym
 let equal_reachable a b = Bdd.equal a.reached b.reached
-let num_image_ops sym = sym.image_ops
-let peak_nodes sym = sym.peak_nodes
-let num_clusters sym = sym.clusters
-let reachable_nodes sym = Bdd.node_count sym.reached
 
 (* --- per-signal excitation, deadlocks, CSC ---------------------------- *)
 
@@ -904,7 +904,6 @@ let initial_set sym =
     (Petri.initial_marking (Stg.net sym.stg))
     (Sg.initial_code sym.stg)
 
-let reached_set sym = sym.reached
 let enabled_set sym t = sym.ops.(t).enab
 let count_set sym f = Bdd.sat_count_over sym.all_vars f
 

@@ -73,21 +73,6 @@ val equal_reachable : t -> t -> bool
     differential edit-replay battery uses this to prove a seeded
     (delta) fixpoint reached exactly the from-scratch set. *)
 
-val num_levels : t -> int
-(** Chained sweeps the fixpoint took to converge (each sweep covers at
-    least one BFS level, usually many). *)
-
-val num_image_ops : t -> int
-val peak_nodes : t -> int
-(** Largest node count of the reachable-set BDD across levels. *)
-
-val num_clusters : t -> int
-(** Image operators per sweep after clustering (equals the transition
-    count when clustering is disabled via [RTCAD_BDD_CLUSTER_WIDTH=0]). *)
-
-val reachable_nodes : t -> int
-(** Node count of the final reachable-set BDD. *)
-
 val deadlock_count : t -> int
 
 val deadlock_markings : t -> Rtcad_util.Bitset.t list
@@ -118,13 +103,20 @@ val materialize : ?max_states:int -> t -> Sg.t
 
 val pp_stats : Format.formatter -> t -> unit
 
+val publish_table_gauges : unit -> unit
+(** While {!Rtcad_obs.Obs} records, set the [bdd.*] gauges from
+    {!Rtcad_logic.Bdd.table_stats} on the calling domain.
+    [bdd.unique_nodes] is the exact number of live nodes in that
+    domain's unique table at the call, which costs one walk of the whole
+    table; the op-cache, reorder and GC gauges are running totals.  The
+    top-level operations call it once each, when they end: a flow on
+    the symbolic engine ({!Rtcad_core.Flow.synthesize}) and
+    [rtsyn check] on the symbolic engine.  An analysis does not. *)
+
 (** {2 Synthesis-facing queries}
 
     Everything below returns BDDs built on the calling domain — the
     usual contract applies (do not ship them across domains). *)
-
-val reached_set : t -> Rtcad_logic.Bdd.t
-(** The reachable state set over present variables. *)
 
 val enabled_set : t -> int -> Rtcad_logic.Bdd.t
 (** [enabled_set sym t]: states in which transition [t] may fire
@@ -146,7 +138,7 @@ val unrestricted : t -> view
 val restrict : t -> allowed:(int -> Rtcad_logic.Bdd.t) -> view
 (** [restrict sym ~allowed] recomputes reachability with transition [t]
     firing only from states in [allowed t] (clipped to its enabling
-    set).  The result's states are a subset of [reached_set]. *)
+    set).  The result's states are a subset of the reachable set. *)
 
 val view_base : view -> t
 val view_reached : view -> Rtcad_logic.Bdd.t

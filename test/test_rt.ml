@@ -138,6 +138,58 @@ let test_concurrent_pairs () =
   check "a+/a- not concurrent" true
     (not (List.mem (a_plus, trans_named stg "a-") pairs))
 
+(* Indexed gaps against the whole-trace reference. *)
+
+let test_gap_touching_and_unordered () =
+  let ev transition enabled_at fired_at = { Timed_sim.transition; enabled_at; fired_at } in
+  (* t1 is a zero-delay transition enabled exactly when t0 fires; t2's
+     second episode ends before its first, which the sweep cannot
+     assume. *)
+  let trace =
+    [
+      ev 0 0.0 1.0; ev 1 1.0 1.0; ev 1 1.0 1.0; ev 2 0.0 3.0; ev 0 1.0 2.0;
+      ev 2 0.5 1.5; ev 1 2.0 2.0;
+    ]
+  in
+  let ix = Timed_sim.index trace in
+  let show = function None -> "none" | Some g -> string_of_float g in
+  for first = 0 to 3 do
+    for second = 0 to 3 do
+      Alcotest.(check string)
+        (Printf.sprintf "gap %d -> %d" first second)
+        (show (Rtcad_check.Ref_rt.min_gap trace ~first ~second))
+        (show (Timed_sim.gap ix ~first ~second))
+    done
+  done;
+  (* t0's episode [1, 2] meets t1's [1, 1] only at its start. *)
+  check "touching episodes overlap" true (Timed_sim.gap ix ~first:0 ~second:1 = Some (-1.0));
+  (* t2's later, shorter episode gives t0's smallest gap. *)
+  check "unordered episodes" true (Timed_sim.gap ix ~first:0 ~second:2 = Some (-0.5));
+  check "never fired" true (Timed_sim.gap ix ~first:3 ~second:0 = None)
+
+(* The assumption generator's inputs on every library specification,
+   raw and dummy-contracted, and rings 3-7: both engines' concurrent
+   pairs, the indexed gap of every transition pair on seeded runs, and
+   the generated assumption lists, against their references. *)
+let prop_assumptions_match_reference =
+  let specs =
+    let lib = Library.all_named () in
+    Array.of_list
+      (lib
+      @ List.map
+          (fun (n, stg) -> (n ^ "/contracted", Transform.contract_dummies ~strict:false stg))
+          lib
+      @ List.map (fun n -> (Printf.sprintf "ring%d" n, Library.ring n)) [ 3; 4; 5; 6; 7 ])
+  in
+  QCheck.Test.make ~name:"generator inputs match the reference" ~count:25
+    (QCheck.make
+       ~print:(fun (i, seed) -> Printf.sprintf "%s, seed %d" (fst specs.(i)) seed)
+       QCheck.Gen.(pair (int_bound (Array.length specs - 1)) (int_range 1 1000)))
+    (fun (i, seed) ->
+      match Rtcad_check.Oracle.diff_assumptions ~seed (snd specs.(i)) with
+      | Rtcad_check.Oracle.Pass -> true
+      | v -> QCheck.Test.fail_reportf "%a" Rtcad_check.Oracle.pp_verdict v)
+
 (* Assumption generation. *)
 
 let test_generate_fifo () =
@@ -324,6 +376,9 @@ let suite =
         Alcotest.test_case "deterministic" `Quick test_timed_sim_deterministic;
         Alcotest.test_case "choice resolution" `Quick test_timed_sim_choice;
         Alcotest.test_case "concurrent pairs" `Quick test_concurrent_pairs;
+        Alcotest.test_case "gap: touching, unordered" `Quick
+          test_gap_touching_and_unordered;
+        QCheck_alcotest.to_alcotest prop_assumptions_match_reference;
       ] );
     ( "rt_generate",
       [
