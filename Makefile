@@ -103,15 +103,23 @@ test-serve:
 
 # Daemon smoke: a scripted NDJSON session over stdio must answer every
 # line, survive garbage, and serve the repeated request from the cache.
-smoke-serve:
-	printf '%s\n' \
+# Then the same session twice against an on-disk store: the second,
+# fresh process must answer all three work requests from disk, and
+# `rtsyn cache stats` lists the responses beside the synthesis stages.
+# The store lives under _build so `dune clean` sweeps it.
+SMOKE_SERVE_SESSION = printf '%s\n' \
 	  '{"op":"check","spec":"fifo"}' \
 	  '{"op":"synth","spec":"fifo","mode":"si"}' \
 	  'garbage' \
 	  '{"op":"check","spec":"fifo"}' \
 	  '{"op":"stats"}' \
-	  '{"op":"shutdown"}' \
-	  | dune exec bin/rtsyn.exe -- serve | grep -c '"cached":true'
+	  '{"op":"shutdown"}'
+smoke-serve:
+	$(SMOKE_SERVE_SESSION) | dune exec bin/rtsyn.exe -- serve | grep -c '"cached":true'
+	rm -rf _build/smoke-serve-cache
+	$(SMOKE_SERVE_SESSION) | dune exec bin/rtsyn.exe -- serve --cache-dir _build/smoke-serve-cache | grep -c '"cached":true'
+	test "$$($(SMOKE_SERVE_SESSION) | dune exec bin/rtsyn.exe -- serve --cache-dir _build/smoke-serve-cache | grep -c '"cached":true')" = 3
+	dune exec bin/rtsyn.exe -- cache stats _build/smoke-serve-cache
 
 # Streaming-RAPPID smoke: a 1M-instruction virtual stream through the
 # 4-shard decoder farm.  The heap budget is the point — a 1M-instruction

@@ -684,10 +684,11 @@ let rappid_cmd =
 
 (* --- cache --- *)
 
-(* Directory maintenance for the staged-flow artifact store written by
-   `synth --cache` and `serve --cache-dir`.  All three actions scan the
-   directory and drop undecodable entries, so a corrupted store heals on
-   first inspection. *)
+(* Directory maintenance for the artifact store written by `synth
+   --cache` (stage artifacts) and `serve --cache-dir` (stage artifacts
+   and whole responses).  All three actions scan the directory and drop
+   undecodable entries, so a corrupted store heals on first
+   inspection. *)
 let run_cache action dir budget =
   if not (Sys.file_exists dir && Sys.is_directory dir) then begin
     Printf.eprintf "rtsyn: %s is not a directory\n" dir;
@@ -747,14 +748,16 @@ let cache_cmd =
   Cmd.v
     (Cmd.info "cache"
        ~doc:
-         "Inspect or trim a flow artifact store (the $(b,--cache)/$(b,--cache-dir) \
-          directory): corrupted entries are detected and removed, never served")
+         "Inspect or trim an artifact store (the $(b,synth --cache) or \
+          $(b,serve --cache-dir) directory, whose entries are stage artifacts \
+          and daemon responses): corrupted entries are detected and removed, \
+          never served")
     Term.(const run_cache $ action $ dir $ budget)
 
 (* --- serve --- *)
 
-let run_serve () obs socket queue capacity budget shards cache_dir engine
-    max_states timeout_ms capture wave_max wave_ms backlog =
+let run_serve () obs socket queue budget shards cache_dir engine max_states
+    timeout_ms capture wave_max wave_ms backlog =
   (* Per-request capture owns the global recorder (it resets it around
      every piece of work), so it cannot coexist with the cumulative
      --trace/--summary sinks. *)
@@ -766,17 +769,11 @@ let run_serve () obs socket queue capacity budget shards cache_dir engine
   else
     with_obs obs @@ fun () ->
     with_spec_errors @@ fun () ->
-    let cache =
-      Serve_cache.create ~shards ~budget ?capacity ?dir:cache_dir ()
-    in
-    (* Stage artifacts live beside the response cache: a response entry
-       that was evicted (or a request varying only in style) still
-       replays the expensive stages. *)
-    let flow_store =
-      Option.map
-        (fun d -> Store.create ~dir:(Filename.concat d "flow") ())
-        cache_dir
-    in
+    let cache = Serve_cache.create ~shards ~budget ?dir:cache_dir () in
+    (* Stage artifacts live in the same directory as the responses: a
+       response entry that was evicted (or a request varying only in
+       style) still replays the expensive stages. *)
+    let flow_store = Option.map (fun dir -> Store.create ~dir ()) cache_dir in
     let cfg =
       {
         Serve.queue;
@@ -817,15 +814,6 @@ let serve_cmd =
             "Work-queue capacity: a batched request beyond $(docv) pending is \
              answered with a structured $(b,overloaded) error instead of \
              buffering unboundedly.")
-  in
-  let capacity =
-    Arg.(
-      value
-      & opt (some (pos_int_conv "cache capacity")) None
-      & info [ "cache-capacity" ] ~docv:"N"
-          ~doc:
-            "Additionally bound the in-memory result cache to $(docv) entries \
-             (LRU beyond it); by default only the cost budget bounds it.")
   in
   let budget =
     Arg.(
@@ -886,8 +874,10 @@ let serve_cmd =
       & opt (some string) None
       & info [ "cache-dir" ] ~docv:"DIR"
           ~doc:
-            "Persist results on disk under $(docv) (content-addressed, \
-             checksummed; corrupted entries are recomputed, never served).")
+            "Persist responses and synthesis stage artifacts on disk in the \
+             artifact store $(docv) (content-addressed, checksummed, written \
+             by atomic rename; corrupted entries are recomputed, never \
+             served).  $(b,rtsyn cache) inspects and trims it.")
   in
   let max_states =
     Arg.(
@@ -925,9 +915,9 @@ let serve_cmd =
          "Long-running synthesis service: NDJSON requests in, NDJSON \
           responses out, results content-addressed in a two-tier cache")
     Term.(
-      const run_serve $ jobs_term $ obs_term $ socket $ queue $ capacity
-      $ budget $ shards $ cache_dir $ engine_term $ max_states $ timeout_ms
-      $ capture $ wave_max $ wave_ms $ backlog)
+      const run_serve $ jobs_term $ obs_term $ socket $ queue $ budget
+      $ shards $ cache_dir $ engine_term $ max_states $ timeout_ms $ capture
+      $ wave_max $ wave_ms $ backlog)
 
 let main =
   Cmd.group

@@ -1,26 +1,30 @@
-(* Content-addressed artifact store for the staged synthesis flow.
+(* Content-addressed store: the one sharded cost-LRU cache with a
+   checksummed disk tier, shared by the staged synthesis flow (stage
+   artifacts: encode, reach, covers, emit) and the serve daemon (whole
+   responses, stage [response]).
 
-   Two tiers, mirroring the serve result cache (lib/serve/cache.ml): a
-   sharded in-memory table with cost-based LRU eviction (an entry's cost
-   is its payload bytes plus the compute milliseconds it saves), and an
-   optional on-disk tier of checksummed entries.  Differences from the
-   serve cache, driven by this store's role as a persistent build cache
-   rather than a response cache:
+   Memory tier: shards chosen by the key's hash prefix, each a table
+   with cost-based LRU eviction (an entry's cost is its payload bytes
+   plus the compute milliseconds it saves) holding an even split of the
+   budget.  Disk tier:
 
    - every disk entry records the *stage* that produced it (encode,
-     reach, covers, emit, …) so `rtsyn cache ls` can attribute bytes;
+     reach, covers, emit, response) so `rtsyn cache ls` can attribute
+     bytes;
    - disk writes go through a temp file and an atomic rename, so a
-     reader racing a writer (or two writers racing each other) sees
-     either the complete old entry or the complete new one, never a
-     torn write;
+     reader racing a writer, two writers racing each other, or a
+     writer killed mid-write leave either the complete old entry or the
+     complete new one, never a torn write;
    - the disk tier is first-class: [ls]/[gc]/[disk_stats] operate on a
      directory without constructing a live store, which is what the
      `rtsyn cache` subcommand drives.
 
-   Corruption handling is identical to the serve cache: any header or
-   checksum mismatch (flipped byte, truncation, foreign file) counts as
-   corrupt, removes the entry and reports a miss — the flow recomputes
-   and overwrites. *)
+   Any header or checksum mismatch (flipped byte, truncation, foreign
+   file) counts as corrupt, removes the entry and reports a miss — the
+   caller recomputes and overwrites.  Each store counts into the Obs
+   namespace fixed at [create] ([flow.cache] for the flow, [serve.cache]
+   for the daemon's responses), so the two tiers stay apart in a
+   trace. *)
 
 module Obs = Rtcad_obs.Obs
 
@@ -33,15 +37,35 @@ let entry_cost e = String.length e.payload + int_of_float (Float.ceil e.cost_ms)
 
 type shard = {
   table : (string, entry) Hashtbl.t;
-  mutable s_cost : int;
+  mutable s_cost : int;  (** sum of [entry_cost] over the table *)
   mutable s_bytes : int;
+  mutable s_ms : float;
   mutable s_evictions : int;
+  g_entries : string;  (** gauge names: [<ns>.shard<i>.<field>] *)
+  g_bytes : string;
+  g_ms : string;
+  g_evictions : string;
+}
+
+(* Obs names under the store's namespace, built once at [create] rather
+   than on every lookup. *)
+type names = {
+  n_hit : string;
+  n_disk_hit : string;
+  n_miss : string;
+  n_store : string;
+  n_evict : string;
+  n_corrupt : string;
+  n_entries : string;
+  n_bytes : string;
+  n_ms : string;
 }
 
 type t = {
   shards : shard array;
   shard_budget : int;
   dir : string option;
+  names : names;
   mutable clock : int;
   mutable hits : int;
   mutable disk_hits : int;
@@ -50,8 +74,15 @@ type t = {
   mutable corrupt : int;
 }
 
+type shard_stats = {
+  sh_entries : int;
+  sh_bytes : int;
+  sh_ms : float;
+  sh_evictions : int;
+}
+
 type stats = {
-  hits : int;  (** memory + disk *)
+  hits : int;
   disk_hits : int;
   misses : int;
   stores : int;
@@ -59,6 +90,8 @@ type stats = {
   corrupt : int;
   entries : int;
   retained_bytes : int;
+  retained_ms : float;
+  shards : shard_stats list;
 }
 
 let rec mkdir_p path =
@@ -73,16 +106,41 @@ let rec mkdir_p path =
 
 let default_budget = 64 * 1024 * 1024
 
-let create ?(shards = 4) ?(budget = default_budget) ?dir () =
+let create ?(namespace = "flow.cache") ?(shards = 4) ?(budget = default_budget)
+    ?dir () =
   if shards < 1 then invalid_arg "Store.create: shards must be positive";
   if budget < 1 then invalid_arg "Store.create: budget must be positive";
   Option.iter mkdir_p dir;
+  let n s = namespace ^ "." ^ s in
   {
     shards =
-      Array.init shards (fun _ ->
-          { table = Hashtbl.create 16; s_cost = 0; s_bytes = 0; s_evictions = 0 });
+      Array.init shards (fun i ->
+          let g s = n (Printf.sprintf "shard%d.%s" i s) in
+          {
+            table = Hashtbl.create 16;
+            s_cost = 0;
+            s_bytes = 0;
+            s_ms = 0.0;
+            s_evictions = 0;
+            g_entries = g "entries";
+            g_bytes = g "bytes";
+            g_ms = g "ms";
+            g_evictions = g "evictions";
+          });
     shard_budget = max 1 (budget / shards);
     dir;
+    names =
+      {
+        n_hit = n "hit";
+        n_disk_hit = n "disk_hit";
+        n_miss = n "miss";
+        n_store = n "store";
+        n_evict = n "evict";
+        n_corrupt = n "corrupt";
+        n_entries = n "entries";
+        n_bytes = n "retained_bytes";
+        n_ms = n "retained_ms";
+      };
     clock = 0;
     hits = 0;
     disk_hits = 0;
@@ -91,8 +149,9 @@ let create ?(shards = 4) ?(budget = default_budget) ?dir () =
     corrupt = 0;
   }
 
-let dir (t : t) = t.dir
-
+(* Keys are md5 hex digests ({!key}); the first two hex characters are a
+   uniform hash prefix.  Arbitrary keys (unit tests) fall back to a
+   deterministic structural hash. *)
 let shard_index (t : t) k =
   let hex c =
     match c with
@@ -109,7 +168,8 @@ let shard_index (t : t) k =
 
 let shard_of (t : t) k = t.shards.(shard_index t k)
 
-(* Length-prefixing makes the digest injective over the part list. *)
+(* Length-prefixing makes the digest injective over the part list:
+   ["ab"; "c"] and ["a"; "bc"] hash differently. *)
 let key parts =
   let buf = Buffer.create 256 in
   List.iter
@@ -124,12 +184,37 @@ let touch t e =
   t.clock <- t.clock + 1;
   e.tick <- t.clock
 
+(* Gauges are only rebuilt when recording is on; the daemon's stats op
+   reads the same numbers synchronously via {!stats}. *)
+let publish_gauges (t : t) =
+  if Obs.enabled () then begin
+    let entries = ref 0 and bytes = ref 0 and ms = ref 0.0 in
+    Array.iter
+      (fun s ->
+        let n = Hashtbl.length s.table in
+        entries := !entries + n;
+        bytes := !bytes + s.s_bytes;
+        ms := !ms +. s.s_ms;
+        Obs.set_gauge s.g_entries (float_of_int n);
+        Obs.set_gauge s.g_bytes (float_of_int s.s_bytes);
+        Obs.set_gauge s.g_ms s.s_ms;
+        Obs.set_gauge s.g_evictions (float_of_int s.s_evictions))
+      t.shards;
+    Obs.set_gauge t.names.n_entries (float_of_int !entries);
+    Obs.set_gauge t.names.n_bytes (float_of_int !bytes);
+    Obs.set_gauge t.names.n_ms !ms
+  end
+
 let remove_entry sh k e =
   Hashtbl.remove sh.table k;
   sh.s_cost <- sh.s_cost - entry_cost e;
-  sh.s_bytes <- sh.s_bytes - String.length e.payload
+  sh.s_bytes <- sh.s_bytes - String.length e.payload;
+  sh.s_ms <- sh.s_ms -. e.cost_ms
 
-let evict_lru sh =
+(* The LRU scan is O(entries); shards keep each table small and the
+   determinism of "evict the minimum tick" is worth more here than a
+   doubly-linked list. *)
+let evict_lru t sh =
   let victim = ref None in
   Hashtbl.iter
     (fun k e ->
@@ -141,7 +226,7 @@ let evict_lru sh =
   | Some (k, e) ->
     remove_entry sh k e;
     sh.s_evictions <- sh.s_evictions + 1;
-    Obs.incr "flow.cache.evict";
+    Obs.incr t.names.n_evict;
     true
   | None -> false
 
@@ -155,9 +240,11 @@ let insert_mem ?(cost_ms = 0.0) t k payload =
     Hashtbl.replace sh.table k e;
     sh.s_cost <- sh.s_cost + entry_cost e;
     sh.s_bytes <- sh.s_bytes + String.length payload;
-    (* Shave down to budget, never evicting the entry just inserted. *)
+    sh.s_ms <- sh.s_ms +. cost_ms;
+    (* Shave down to budget, never evicting the entry just inserted, so
+       a single oversized entry still caches (and is the next victim). *)
     while
-      sh.s_cost > t.shard_budget && Hashtbl.length sh.table > 1 && evict_lru sh
+      sh.s_cost > t.shard_budget && Hashtbl.length sh.table > 1 && evict_lru t sh
     do
       ()
     done
@@ -208,7 +295,7 @@ let disk_find t k =
       | Some (_stage, payload) -> Some payload
       | None ->
         t.corrupt <- t.corrupt + 1;
-        Obs.incr "flow.cache.corrupt";
+        Obs.incr t.names.n_corrupt;
         (try Sys.remove path with Sys_error _ -> ());
         None))
 
@@ -239,7 +326,7 @@ let find t k =
   | Some e ->
     touch t e;
     t.hits <- t.hits + 1;
-    Obs.incr "flow.cache.hit";
+    Obs.incr t.names.n_hit;
     Some e.payload
   | None -> (
     match disk_find t k with
@@ -247,37 +334,46 @@ let find t k =
       insert_mem t k payload;
       t.hits <- t.hits + 1;
       t.disk_hits <- t.disk_hits + 1;
-      Obs.incr "flow.cache.hit";
-      Obs.incr "flow.cache.disk_hit";
+      Obs.incr t.names.n_hit;
+      Obs.incr t.names.n_disk_hit;
+      publish_gauges t;
       Some payload
     | None ->
       t.misses <- t.misses + 1;
-      Obs.incr "flow.cache.miss";
+      Obs.incr t.names.n_miss;
       None)
 
 let store ?cost_ms ~stage t k payload =
   insert_mem ?cost_ms t k payload;
   disk_store t ~stage k payload;
   t.stores <- t.stores + 1;
-  Obs.incr "flow.cache.store"
+  Obs.incr t.names.n_store;
+  publish_gauges t
 
 let stats (t : t) =
-  let entries = ref 0 and bytes = ref 0 and evictions = ref 0 in
-  Array.iter
-    (fun s ->
-      entries := !entries + Hashtbl.length s.table;
-      bytes := !bytes + s.s_bytes;
-      evictions := !evictions + s.s_evictions)
-    t.shards;
+  let shards =
+    Array.to_list
+      (Array.map
+         (fun s ->
+           {
+             sh_entries = Hashtbl.length s.table;
+             sh_bytes = s.s_bytes;
+             sh_ms = s.s_ms;
+             sh_evictions = s.s_evictions;
+           })
+         t.shards)
+  in
   {
     hits = t.hits;
     disk_hits = t.disk_hits;
     misses = t.misses;
     stores = t.stores;
-    evictions = !evictions;
+    evictions = List.fold_left (fun a s -> a + s.sh_evictions) 0 shards;
     corrupt = t.corrupt;
-    entries = !entries;
-    retained_bytes = !bytes;
+    entries = List.fold_left (fun a s -> a + s.sh_entries) 0 shards;
+    retained_bytes = List.fold_left (fun a s -> a + s.sh_bytes) 0 shards;
+    retained_ms = List.fold_left (fun a s -> a +. s.sh_ms) 0.0 shards;
+    shards;
   }
 
 (* --- directory operations (the `rtsyn cache` subcommand) --------------- *)

@@ -1,41 +1,15 @@
-module Obs = Rtcad_obs.Obs
+(* The daemon's response tier: a {!Rtcad_core.Store} counting under
+   [serve.cache.*], with the serve defaults of 8 shards and a 32 MiB
+   cost budget.  Responses are [response]-stage entries, so one
+   [--cache-dir] holds them beside the flow's stage artifacts.  This is
+   a module of its own, rather than a constructor in {!Serve}, only
+   because perfbench/serve_mix.ml names [Cache.{t,create,stats}]. *)
 
-type entry = { payload : string; cost_ms : float; mutable tick : int }
+type t = Rtcad_core.Store.t
 
-(* Cost of keeping an entry resident: its serialized bytes plus the
-   compute time it saves on a hit.  Both are retained per shard so the
-   stats can report them separately. *)
-let entry_cost e = String.length e.payload + int_of_float (Float.ceil e.cost_ms)
-
-type shard = {
-  table : (string, entry) Hashtbl.t;
-  mutable s_cost : int;  (** sum of [entry_cost] over the table *)
-  mutable s_bytes : int;
-  mutable s_ms : float;
-  mutable s_evictions : int;
-}
-
-type t = {
-  shards : shard array;
-  shard_budget : int;
-  shard_capacity : int option;
-  dir : string option;
-  mutable clock : int;
-  mutable hits : int;
-  mutable misses : int;
-  mutable stores : int;
-  mutable corrupt : int;
-}
-
-type shard_stats = {
-  sh_entries : int;
-  sh_bytes : int;
-  sh_ms : float;
-  sh_evictions : int;
-}
-
-type stats = {
+type stats = Rtcad_core.Store.stats = {
   hits : int;
+  disk_hits : int;
   misses : int;
   stores : int;
   evictions : int;
@@ -43,268 +17,10 @@ type stats = {
   entries : int;
   retained_bytes : int;
   retained_ms : float;
-  shards : shard_stats list;
+  shards : Rtcad_core.Store.shard_stats list;
 }
 
-let magic = "rtcad-serve-cache/1"
+let create ?(shards = 8) ?(budget = 32 * 1024 * 1024) ?dir () =
+  Rtcad_core.Store.create ~namespace:"serve.cache" ~shards ~budget ?dir ()
 
-let rec mkdir_p path =
-  if path = "" || path = "." || path = "/" || Sys.file_exists path then ()
-  else begin
-    mkdir_p (Filename.dirname path);
-    try Unix.mkdir path 0o755 with
-    | Unix.Unix_error (Unix.EEXIST, _, _) -> ()
-    | Unix.Unix_error (e, _, _) ->
-      raise (Sys_error (Printf.sprintf "%s: %s" path (Unix.error_message e)))
-  end
-
-let default_budget = 32 * 1024 * 1024
-
-let create ?(shards = 8) ?(budget = default_budget) ?capacity ?dir () =
-  if shards < 1 then invalid_arg "Cache.create: shards must be positive";
-  if budget < 1 then invalid_arg "Cache.create: budget must be positive";
-  (match capacity with
-  | Some c when c < 1 -> invalid_arg "Cache.create: capacity must be positive"
-  | _ -> ());
-  Option.iter mkdir_p dir;
-  {
-    shards =
-      Array.init shards (fun _ ->
-          {
-            table = Hashtbl.create 16;
-            s_cost = 0;
-            s_bytes = 0;
-            s_ms = 0.0;
-            s_evictions = 0;
-          });
-    (* Budgets divide evenly: with one shard the whole budget applies,
-       which is what the deterministic eviction tests pin down. *)
-    shard_budget = max 1 (budget / shards);
-    shard_capacity =
-      Option.map (fun c -> max 1 ((c + shards - 1) / shards)) capacity;
-    dir;
-    clock = 0;
-    hits = 0;
-    misses = 0;
-    stores = 0;
-    corrupt = 0;
-  }
-
-let num_shards (t : t) = Array.length t.shards
-let dir (t : t) = t.dir
-
-(* Keys are md5 hex digests ({!key}); the first two hex characters are a
-   uniform hash prefix.  Arbitrary keys (unit tests) fall back to a
-   deterministic structural hash. *)
-let shard_index (t : t) k =
-  let hex c =
-    match c with
-    | '0' .. '9' -> Some (Char.code c - Char.code '0')
-    | 'a' .. 'f' -> Some (Char.code c - Char.code 'a' + 10)
-    | _ -> None
-  in
-  let n = Array.length t.shards in
-  if n = 1 then 0
-  else
-    match if String.length k >= 2 then (hex k.[0], hex k.[1]) else (None, None) with
-    | Some a, Some b -> ((a * 16) + b) mod n
-    | _ -> Hashtbl.hash k mod n
-
-let shard_of (t : t) k = t.shards.(shard_index t k)
-
-(* Length-prefixing makes the digest injective over the part list:
-   ["ab"; "c"] and ["a"; "bc"] hash differently. *)
-let key parts =
-  let buf = Buffer.create 256 in
-  List.iter
-    (fun p ->
-      Buffer.add_string buf (string_of_int (String.length p));
-      Buffer.add_char buf ':';
-      Buffer.add_string buf p)
-    parts;
-  Digest.to_hex (Digest.string (Buffer.contents buf))
-
-let touch t e =
-  t.clock <- t.clock + 1;
-  e.tick <- t.clock
-
-(* Gauges are only rebuilt when recording is on; the daemon's stats op
-   reads the same numbers synchronously via {!stats}. *)
-let publish_gauges (t : t) =
-  if Obs.enabled () then begin
-    let entries = ref 0 and bytes = ref 0 and ms = ref 0.0 in
-    Array.iteri
-      (fun i s ->
-        entries := !entries + Hashtbl.length s.table;
-        bytes := !bytes + s.s_bytes;
-        ms := !ms +. s.s_ms;
-        let g name v =
-          Obs.set_gauge (Printf.sprintf "serve.cache.shard%d.%s" i name) v
-        in
-        g "entries" (float_of_int (Hashtbl.length s.table));
-        g "bytes" (float_of_int s.s_bytes);
-        g "ms" s.s_ms;
-        g "evictions" (float_of_int s.s_evictions))
-      t.shards;
-    Obs.set_gauge "serve.cache.entries" (float_of_int !entries);
-    Obs.set_gauge "serve.cache.retained_bytes" (float_of_int !bytes);
-    Obs.set_gauge "serve.cache.retained_ms" !ms
-  end
-
-let remove_entry sh k e =
-  Hashtbl.remove sh.table k;
-  sh.s_cost <- sh.s_cost - entry_cost e;
-  sh.s_bytes <- sh.s_bytes - String.length e.payload;
-  sh.s_ms <- sh.s_ms -. e.cost_ms
-
-(* The LRU scan is O(entries); shards keep each table small and the
-   determinism of "evict the minimum tick" is worth more here than a
-   doubly-linked list. *)
-let evict_lru sh =
-  let victim = ref None in
-  Hashtbl.iter
-    (fun k e ->
-      match !victim with
-      | Some (_, v) when v.tick <= e.tick -> ()
-      | _ -> victim := Some (k, e))
-    sh.table;
-  match !victim with
-  | Some (k, e) ->
-    remove_entry sh k e;
-    sh.s_evictions <- sh.s_evictions + 1;
-    Obs.incr "serve.cache.evict";
-    true
-  | None -> false
-
-let over_budget t sh ~protect =
-  (sh.s_cost > t.shard_budget && Hashtbl.length sh.table > protect)
-  || (match t.shard_capacity with
-     | Some cap -> Hashtbl.length sh.table > cap
-     | None -> false)
-
-let insert_mem ?(cost_ms = 0.0) t k payload =
-  let sh = shard_of t k in
-  match Hashtbl.find_opt sh.table k with
-  | Some e -> touch t e
-  | None ->
-    (* Make room by count first (pre-insertion, preserving the classic
-       LRU bound), then admit and shave the cost budget down — never
-       evicting the entry just inserted, so a single oversized result
-       still caches (and is the next LRU victim). *)
-    (match t.shard_capacity with
-    | Some cap ->
-      while Hashtbl.length sh.table >= cap && evict_lru sh do
-        ()
-      done
-    | None -> ());
-    let e = { payload; cost_ms; tick = 0 } in
-    touch t e;
-    Hashtbl.replace sh.table k e;
-    sh.s_cost <- sh.s_cost + entry_cost e;
-    sh.s_bytes <- sh.s_bytes + String.length payload;
-    sh.s_ms <- sh.s_ms +. cost_ms;
-    while over_budget t sh ~protect:1 && evict_lru sh do
-      ()
-    done
-
-let disk_path t k = Option.map (fun d -> Filename.concat d (k ^ ".json")) t.dir
-
-let read_file path =
-  let ic = open_in_bin path in
-  Fun.protect
-    ~finally:(fun () -> close_in_noerr ic)
-    (fun () -> really_input_string ic (in_channel_length ic))
-
-(* A disk entry is [magic ^ " " ^ md5(payload) ^ "\n" ^ payload]; any
-   header or checksum mismatch means the entry was corrupted (or written
-   by a different format version) and must be recomputed, not served. *)
-let disk_find t k =
-  match disk_path t k with
-  | None -> None
-  | Some path -> (
-    match read_file path with
-    | exception Sys_error _ -> None
-    | data -> (
-      let corrupt () =
-        t.corrupt <- t.corrupt + 1;
-        Obs.incr "serve.cache.corrupt";
-        (try Sys.remove path with Sys_error _ -> ());
-        None
-      in
-      match String.index_opt data '\n' with
-      | None -> corrupt ()
-      | Some nl -> (
-        let header = String.sub data 0 nl in
-        let payload = String.sub data (nl + 1) (String.length data - nl - 1) in
-        match String.split_on_char ' ' header with
-        | [ m; sum ] when m = magic ->
-          if String.equal sum (Digest.to_hex (Digest.string payload)) then
-            Some payload
-          else corrupt ()
-        | _ -> corrupt ())))
-
-let disk_store t k payload =
-  match disk_path t k with
-  | None -> ()
-  | Some path ->
-    let data =
-      Printf.sprintf "%s %s\n%s" magic (Digest.to_hex (Digest.string payload))
-        payload
-    in
-    (* Best-effort: a full disk must not take the daemon down, it just
-       loses persistence for this entry. *)
-    (match Obs.write_file ~path data with Ok () -> () | Error _ -> ())
-
-let find t k =
-  match Hashtbl.find_opt (shard_of t k).table k with
-  | Some e ->
-    touch t e;
-    t.hits <- t.hits + 1;
-    Obs.incr "serve.cache.hit";
-    Some e.payload
-  | None -> (
-    match disk_find t k with
-    | Some payload ->
-      (* The disk header records no compute time, so a promoted entry's
-         retained cost is its bytes alone. *)
-      insert_mem t k payload;
-      t.hits <- t.hits + 1;
-      Obs.incr "serve.cache.hit";
-      publish_gauges t;
-      Some payload
-    | None ->
-      t.misses <- t.misses + 1;
-      Obs.incr "serve.cache.miss";
-      None)
-
-let store ?cost_ms t k payload =
-  insert_mem ?cost_ms t k payload;
-  disk_store t k payload;
-  t.stores <- t.stores + 1;
-  Obs.incr "serve.cache.store";
-  publish_gauges t
-
-let stats (t : t) =
-  let shards =
-    Array.to_list
-      (Array.map
-         (fun s ->
-           {
-             sh_entries = Hashtbl.length s.table;
-             sh_bytes = s.s_bytes;
-             sh_ms = s.s_ms;
-             sh_evictions = s.s_evictions;
-           })
-         t.shards)
-  in
-  {
-    hits = t.hits;
-    misses = t.misses;
-    stores = t.stores;
-    evictions = List.fold_left (fun a s -> a + s.sh_evictions) 0 shards;
-    corrupt = t.corrupt;
-    entries = List.fold_left (fun a s -> a + s.sh_entries) 0 shards;
-    retained_bytes = List.fold_left (fun a s -> a + s.sh_bytes) 0 shards;
-    retained_ms = List.fold_left (fun a s -> a +. s.sh_ms) 0.0 shards;
-    shards;
-  }
+let stats = Rtcad_core.Store.stats

@@ -256,9 +256,16 @@ let escape_string s =
   Buffer.add_char buf '"';
   Buffer.contents buf
 
+(* Integrality is judged on the printed value, not the given one, so a
+   parse of the output prints back to the same text: a cached response,
+   stored as text and re-parsed on a hit, renders byte-identical to the
+   computed one.  Adding 0.0 turns a printed -0 into 0. *)
 let float_str f =
-  if Float.is_integer f && Float.abs f < 1e15 then Printf.sprintf "%.0f" f
-  else Printf.sprintf "%.6f" f
+  let s = Printf.sprintf "%.6f" f in
+  let printed = float_of_string s +. 0.0 in
+  if Float.is_integer printed && Float.abs printed < 1e15 then
+    Printf.sprintf "%.0f" printed
+  else s
 
 let to_string v =
   let buf = Buffer.create 256 in

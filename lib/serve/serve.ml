@@ -11,6 +11,7 @@ module Encoding = Rtcad_sg.Encoding
 module Csc = Rtcad_sg.Csc
 module Flow = Rtcad_core.Flow
 module Check = Rtcad_core.Check
+module Store = Rtcad_core.Store
 module Harness = Rtcad_core.Harness
 module Table2 = Rtcad_core.Table2
 module Fifo_impls = Rtcad_core.Fifo_impls
@@ -29,12 +30,12 @@ type obs_mode = Obs_off | Obs_normalised | Obs_full
 
 type config = {
   queue : int;
-  cache : Cache.t;
+  cache : Store.t;
   engine : Engine.t;
   obs_mode : obs_mode;
   timeout_ms : float option;
   max_states : int option;
-  flow_store : Rtcad_core.Store.t option;
+  flow_store : Store.t option;
 }
 
 let default_config ?cache ?flow_store () =
@@ -278,7 +279,7 @@ let decode_check cfg req =
     w_op = "check";
     w_engine = Some (engine_name sel);
     w_key =
-      Cache.key
+      Store.key
         [ protocol_version; "check"; canon; engine_name sel; fp_max_states max_states ];
     w_compute = compute;
   }
@@ -393,7 +394,7 @@ let decode_synth cfg req =
     w_op = "synth";
     w_engine = Some (engine_name sel);
     w_key =
-      Cache.key
+      Store.key
         [ protocol_version; "synth"; canon; engine_name sel; Flow.fingerprint mode;
           "style=" ^ style_name; Printf.sprintf "verify=%b" verify;
           fp_max_states max_states ];
@@ -448,7 +449,7 @@ let decode_sim cfg req =
       w_op = "sim";
       w_engine = None;
       w_key =
-        Cache.key
+        Store.key
           [ protocol_version; "sim-rappid"; string_of_int instructions;
             string_of_int seed ];
       w_compute = compute;
@@ -484,7 +485,7 @@ let decode_sim cfg req =
       w_op = "sim";
       w_engine = None;
       w_key =
-        Cache.key
+        Store.key
           [ protocol_version; "sim-circuit"; circuit; string_of_int cycles;
             string_of_bool vcd ];
       w_compute = compute;
@@ -516,7 +517,7 @@ let decode_sim cfg req =
       w_op = "sim";
       w_engine = None;
       w_key =
-        Cache.key
+        Store.key
           [ protocol_version; "sim-spec"; canon; string_of_int steps; string_of_int seed ];
       w_compute = compute;
     }
@@ -559,7 +560,7 @@ let decode_fuzz _cfg req =
     w_op = "fuzz";
     w_engine = None;
     w_key =
-      Cache.key
+      Store.key
         [ protocol_version; "fuzz"; string_of_int seed; string_of_int cases;
           string_of_int max_places; string_of_bool shrink ];
     w_compute = compute;
@@ -629,7 +630,6 @@ let session cfg =
   }
 
 let stopped s = s.stop
-let session_config s = s.cfg
 
 (* Run one piece of work, with per-request observability capture and the
    cooperative wall-clock budget.  Never raises.  The elapsed wall time
@@ -697,7 +697,7 @@ let prepare s entries =
         | P_work { id; op; req } -> (
           match decode_work s.cfg op req with
           | w -> (
-            match Cache.find s.cfg.cache w.w_key with
+            match Store.find s.cfg.cache w.w_key with
             | Some payload ->
               Obs.incr "serve.ok";
               let pj = Json.parse payload in
@@ -727,8 +727,6 @@ let wave_misses wave =
       | _ -> None)
     wave.w_slots
 
-let wave_size wave = List.length wave.w_slots
-
 let compute_and_store cfg (works : work list) =
   let computed =
     if cfg.obs_mode <> Obs_off then List.map (compute_one cfg) works
@@ -746,7 +744,8 @@ let compute_and_store cfg (works : work list) =
             (("result", r)
             :: (match obs with Some o -> [ ("obs", Json.String o) ] | None -> []))
         in
-        Cache.store ~cost_ms:ms cfg.cache w.w_key (Json.to_string payload)
+        Store.store ~stage:"response" ~cost_ms:ms cfg.cache w.w_key
+          (Json.to_string payload)
       | Error _ -> ());
       (w.w_key, outcome))
     works computed
@@ -785,26 +784,26 @@ let take_wave s =
   prepare s entries
 
 let stats_result s =
-  let st = Cache.stats s.cfg.cache in
-  let looked = st.Cache.hits + st.Cache.misses in
+  let st = Store.stats s.cfg.cache in
+  let looked = st.Store.hits + st.Store.misses in
   let round_ms ms = Json.Int (int_of_float (Float.round ms)) in
   (* Only shards that hold (or evicted) something are listed: stats
      stay one readable line at the default shard count. *)
   let shard_json =
     List.filter_map
-      (fun (i, (sh : Cache.shard_stats)) ->
-        if sh.Cache.sh_entries > 0 || sh.Cache.sh_evictions > 0 then
+      (fun (i, (sh : Store.shard_stats)) ->
+        if sh.Store.sh_entries > 0 || sh.Store.sh_evictions > 0 then
           Some
             (Json.Obj
                [
                  ("shard", Json.Int i);
-                 ("entries", Json.Int sh.Cache.sh_entries);
-                 ("bytes", Json.Int sh.Cache.sh_bytes);
-                 ("ms", round_ms sh.Cache.sh_ms);
-                 ("evictions", Json.Int sh.Cache.sh_evictions);
+                 ("entries", Json.Int sh.Store.sh_entries);
+                 ("bytes", Json.Int sh.Store.sh_bytes);
+                 ("ms", round_ms sh.Store.sh_ms);
+                 ("evictions", Json.Int sh.Store.sh_evictions);
                ])
         else None)
-      (List.mapi (fun i sh -> (i, sh)) st.Cache.shards)
+      (List.mapi (fun i sh -> (i, sh)) st.Store.shards)
   in
   Json.Obj
     [
@@ -815,19 +814,19 @@ let stats_result s =
       ( "cache",
         Json.Obj
           [
-            ("hits", Json.Int st.Cache.hits);
-            ("misses", Json.Int st.Cache.misses);
-            ("stores", Json.Int st.Cache.stores);
-            ("evictions", Json.Int st.Cache.evictions);
-            ("corrupt", Json.Int st.Cache.corrupt);
-            ("entries", Json.Int st.Cache.entries);
-            ("retained_bytes", Json.Int st.Cache.retained_bytes);
-            ("retained_ms", round_ms st.Cache.retained_ms);
+            ("hits", Json.Int st.Store.hits);
+            ("misses", Json.Int st.Store.misses);
+            ("stores", Json.Int st.Store.stores);
+            ("evictions", Json.Int st.Store.evictions);
+            ("corrupt", Json.Int st.Store.corrupt);
+            ("entries", Json.Int st.Store.entries);
+            ("retained_bytes", Json.Int st.Store.retained_bytes);
+            ("retained_ms", round_ms st.Store.retained_ms);
             ("shards", Json.List shard_json);
             ( "hit_rate",
               Json.Float
                 (if looked = 0 then 0.0
-                 else float_of_int st.Cache.hits /. float_of_int looked) );
+                 else float_of_int st.Store.hits /. float_of_int looked) );
           ] );
     ]
 
@@ -993,12 +992,6 @@ let rec next_line r ~stop =
       | n -> Buffer.add_subbytes r.buf chunk 0 n);
       next_line r ~stop
     end
-
-let rec write_all fd s pos len =
-  if len > 0 then
-    match Unix.write_substring fd s pos len with
-    | exception Unix.Unix_error (Unix.EINTR, _, _) -> write_all fd s pos len
-    | n -> write_all fd s (pos + n) (len - n)
 
 let with_signals f =
   let flag = ref false in

@@ -36,15 +36,16 @@
 
     {2 Caching}
 
-    Results are content-addressed in a {!Cache}: the key is the
-    canonical [.g] rendering of the specification (so any textual
-    variant of the same spec hits) plus the operation and an
-    engine/options fingerprint ({!Rtcad_core.Flow.fingerprint} for
-    synthesis).  Responses carry ["cached":true] on a hit, and each
-    stored entry records its compute time — the currency of the cache's
-    cost-based eviction.  Cache and request counters are mirrored into
-    {!Rtcad_obs.Obs} under [serve.*], which is how a served session
-    reports its hit rate.
+    Results are content-addressed in a {!Rtcad_core.Store} (the
+    response tier, built by {!Cache.create}): the key is the canonical
+    [.g] rendering of the specification (so any textual variant of the
+    same spec hits) plus the operation and an engine/options
+    fingerprint ({!Rtcad_core.Flow.fingerprint} for synthesis).  Each
+    response is stored as an entry of stage [response] that records its
+    compute time — the currency of the store's cost-based eviction —
+    and is answered ["cached":true] on a hit.  Cache and request
+    counters are mirrored into {!Rtcad_obs.Obs} under [serve.*], which
+    is how a served session reports its hit rate.
 
     {2 Determinism}
 
@@ -65,7 +66,7 @@ type obs_mode =
 
 type config = {
   queue : int;  (** work-queue capacity (wave bound); clamped to >= 1 *)
-  cache : Cache.t;
+  cache : Rtcad_core.Store.t;  (** the response tier ({!Cache.create}) *)
   engine : Rtcad_sg.Engine.t;  (** default reachability engine *)
   obs_mode : obs_mode;
   timeout_ms : float option;  (** per-request budget, [None] = unlimited *)
@@ -77,10 +78,12 @@ type config = {
           from per-stage artifacts *)
 }
 
-val default_config : ?cache:Cache.t -> ?flow_store:Rtcad_core.Store.t -> unit -> config
-(** Queue 64, a fresh in-memory cache ({!Cache.create} defaults: 8
-    shards, 32 MiB cost budget) unless given, [Auto] engine, no capture,
-    no timeout, engine-default state bound, no flow store. *)
+val default_config :
+  ?cache:Rtcad_core.Store.t -> ?flow_store:Rtcad_core.Store.t -> unit -> config
+(** Queue 64, a fresh in-memory response tier ({!Cache.create}
+    defaults: 8 shards, 32 MiB cost budget) unless given, [Auto] engine,
+    no capture, no timeout, engine-default state bound, no flow
+    store. *)
 
 (** {2 Session core}
 
@@ -90,7 +93,6 @@ val default_config : ?cache:Cache.t -> ?flow_store:Rtcad_core.Store.t -> unit ->
 type session
 
 val session : config -> session
-val session_config : session -> config
 
 val feed : ?shed_work:bool -> session -> string -> string list
 (** Process one input line; returns the response lines it produced (in
@@ -125,7 +127,7 @@ val run_lines : config -> string list -> string list
 type work = {
   w_op : string;
   w_engine : string option;  (** resolved engine, for the envelope *)
-  w_key : string;  (** content-address ({!Cache.key}) of the request *)
+  w_key : string;  (** content-address ({!Rtcad_core.Store.key}) of the request *)
   w_compute : unit -> Json.t;  (** the result payload *)
 }
 
@@ -147,8 +149,6 @@ val finish_events : session -> event list
 val wave_misses : wave -> work list
 (** Distinct cache misses, first-arrival order (duplicate keys within
     the wave share one computation). *)
-
-val wave_size : wave -> int
 
 val compute_and_store : config -> work list -> (string * outcome) list
 (** Compute the given works — in parallel over the domain pool unless
@@ -172,7 +172,6 @@ val err : string -> string -> err
     [bad_request], [engine_failure], [too_large], [io_error], [timeout],
     [overloaded], [internal]). *)
 
-val err_of_exn : exn -> err
 val error_response : id:Json.t -> op:Json.t -> err -> Json.t
 
 (** {2 Drivers}
@@ -188,6 +187,3 @@ val run_stdio : config -> int
 val with_signals : ((unit -> bool) -> 'a) -> 'a
 (** Run the function with SIGINT/SIGTERM routed to the given
     should-stop flag, restoring the previous handlers afterwards. *)
-
-val write_all : Unix.file_descr -> string -> int -> int -> unit
-(** Blocking write of [len] bytes at [pos], retrying across [EINTR]. *)

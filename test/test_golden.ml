@@ -143,10 +143,7 @@ let serve_fifo_case slug circuit () =
   check_golden (slug ^ ".vcd") (serve_str j [ "result"; "vcd" ]);
   check_golden (slug ^ ".summary.json") (serve_str j [ "obs" ]);
   (* The cached replay of the same request must serve identical bytes. *)
-  let cache = Rtcad_serve.Cache.create () in
-  let cfg =
-    { (Serve.default_config ~cache ()) with Serve.obs_mode = Serve.Obs_normalised }
-  in
+  let cfg = { (Serve.default_config ()) with Serve.obs_mode = Serve.Obs_normalised } in
   match Serve.run_lines cfg [ request; request ] with
   | [ miss; hit ] ->
     let strip l = Json.to_string (Option.get (Json.member "result" (Json.parse l))) in

@@ -262,6 +262,51 @@ let test_store_gc_budget () =
   check "budget respected" true (remaining <= before.Store.d_bytes / 2);
   check_int "survivors listed" (8 - removed) (List.length (Store.ls ~dir))
 
+(* Memory tier: entry cost = payload bytes + ceil(compute ms); the
+   budget bounds the retained total and eviction is LRU by that cost. *)
+let test_store_cost_eviction () =
+  let c = Store.create ~shards:1 ~budget:100 () in
+  Store.store ~stage:"covers" ~cost_ms:30.0 c "a" (String.make 20 'a');
+  (* cost 50 *)
+  Store.store ~stage:"covers" ~cost_ms:20.0 c "b" (String.make 20 'b');
+  (* cost 40: total 90, both fit *)
+  check_int "both under budget" 2 (Store.stats c).Store.entries;
+  ignore (Store.find c "a");
+  (* touch: "b" becomes the LRU victim *)
+  Store.store ~stage:"covers" c "d" (String.make 40 'd');
+  (* cost 40: 130 > 100, evict "b" *)
+  let st = Store.stats c in
+  check_int "one eviction" 1 st.Store.evictions;
+  check "LRU victim gone" true (Store.find c "b" = None);
+  check "touched entry survives" true (Store.find c "a" <> None);
+  check_int "retained bytes" 60 st.Store.retained_bytes;
+  Alcotest.(check (float 1e-6)) "retained ms" 30.0 st.Store.retained_ms;
+  (* A single entry dearer than the whole budget still caches: the entry
+     just inserted is never its own victim. *)
+  Store.store ~stage:"covers" c "huge" (String.make 500 'h');
+  check "oversized entry cached" true (Store.find c "huge" <> None);
+  check_int "everything else evicted" 1 (Store.stats c).Store.entries
+
+let test_store_shard_distribution () =
+  let c = Store.create ~shards:4 () in
+  for i = 1 to 64 do
+    Store.store ~stage:"covers" ~cost_ms:1.0 c
+      (Store.key [ string_of_int i ])
+      (Printf.sprintf "payload-%d" i)
+  done;
+  let st = Store.stats c in
+  check_int "one stat per shard" 4 (List.length st.Store.shards);
+  check_int "entries sum to total" st.Store.entries
+    (List.fold_left (fun a s -> a + s.Store.sh_entries) 0 st.Store.shards);
+  check_int "bytes sum to total" st.Store.retained_bytes
+    (List.fold_left (fun a s -> a + s.Store.sh_bytes) 0 st.Store.shards);
+  Alcotest.(check (float 1e-6)) "ms sum to total" st.Store.retained_ms
+    (List.fold_left (fun a s -> a +. s.Store.sh_ms) 0.0 st.Store.shards);
+  let populated =
+    List.length (List.filter (fun s -> s.Store.sh_entries > 0) st.Store.shards)
+  in
+  check "hash prefix spreads the keys" true (populated > 1)
+
 (* --- warm reconstruction ---------------------------------------------- *)
 
 let flow_fingerprint r =
@@ -355,6 +400,10 @@ let suite =
         Alcotest.test_case "missing blob, foreign file" `Quick test_store_missing_blob;
         Alcotest.test_case "concurrent writers" `Quick test_store_concurrent_writers;
         Alcotest.test_case "gc to budget" `Quick test_store_gc_budget;
+        Alcotest.test_case "cost-based eviction honours the budget" `Quick
+          test_store_cost_eviction;
+        Alcotest.test_case "shard stats partition the totals" `Quick
+          test_store_shard_distribution;
       ] );
     ( "incremental-flow",
       [
