@@ -7,7 +7,7 @@ ifdef RTCAD_JOBS
 export RTCAD_JOBS
 endif
 
-.PHONY: all build test fuzz fuzz-edits bench bench-check bench-clean verify golden golden-update smoke-symbolic smoke-symbolic-synth smoke-incremental smoke-serve smoke-serve-concurrent smoke-rappid test-serve clean
+.PHONY: all build test fuzz fuzz-edits bench-check verify golden golden-update smoke-symbolic smoke-symbolic-synth smoke-incremental smoke-serve smoke-serve-concurrent smoke-rappid test-serve clean
 
 all: build
 
@@ -30,14 +30,11 @@ CASES ?= 25
 fuzz-edits:
 	dune exec bin/rtsyn.exe -- fuzz --edits 3 --cases $(CASES) --seed 1 --quiet
 
-bench:
-	dune exec bench/main.exe -- perf
-
 # The end-to-end benchmark's own checks: the harness selftest, then a
 # recomputation of every committed expected value under
 # perfbench/expected plus its independent oracles (a few minutes).
-# Nothing else builds perfbench/, so this is where a library change
-# that breaks the benchmark or moves one of its outputs shows up.
+# A library change that breaks the benchmark or moves one of its
+# outputs shows up here.
 bench-check:
 	dune exec perfbench/main.exe -- selftest
 	dune exec perfbench/main.exe -- validate
@@ -55,20 +52,26 @@ smoke-symbolic:
 smoke-symbolic-synth:
 	dune exec bin/rtsyn.exe -- synth ring10 --engine symbolic
 
+# One 1-s pass of a perfbench workload, every output checked against
+# its committed expected value.  `run` exits 0 even when an output is
+# wrong, so the result object on its last line must say so.
+perfbench_smoke = dune exec perfbench/main.exe -- run --workload $(1) \
+	  --seed 1 --seconds 1 --trace 0 | tail -n 1 | grep '"correct":true'
+
 # Incremental-synthesis smoke: cold synthesis of ring-12 populates an
 # artifact store, a second run replays it (byte-identical report, warm
 # stages), and `rtsyn cache stats` shows the stage inventory.  The
 # temp store lives under _build so `dune clean` sweeps it.  The final
-# leg runs the edit-then-resynthesize kernel once: cold synthesis, one
-# duplicated transition, warm delta-seeded re-synthesis (the in-process
-# path the analysis-pool seeding serves).
+# leg is one edit_loop pass: cold base syntheses of rings 10-12 into
+# one store, then edited specs re-synthesized delta-seeded and through
+# covers-stage replay.
 smoke-incremental:
 	rm -rf _build/smoke-flow-cache
 	dune exec bin/rtsyn.exe -- synth ring12 --engine symbolic --cache _build/smoke-flow-cache > _build/smoke-cold.out
 	dune exec bin/rtsyn.exe -- synth ring12 --engine symbolic --cache _build/smoke-flow-cache > _build/smoke-warm.out
 	cmp _build/smoke-cold.out _build/smoke-warm.out
 	dune exec bin/rtsyn.exe -- cache stats _build/smoke-flow-cache
-	dune exec bench/main.exe -- perf --reps 1 --only flow_incremental
+	$(call perfbench_smoke,edit_loop)
 
 # Golden-trace regression corpus (test/golden): compare fresh VCD and
 # metric-summary output against the committed snapshots...
@@ -83,17 +86,11 @@ golden-update:
 	  dune exec test/test_rtcad.exe -- test golden
 
 # The full gate a change must pass: build, unit+cram tests, a 200-case
-# differential fuzzing campaign, and the kernel wall-time regression
-# check against bench/baseline.json.
+# differential fuzzing campaign, and the selftest of the paired
+# benchmark gate.  The gate itself needs a base commit to pair against:
+# `python3 bench/ab.py BASE` (CI runs it against the pull request's base).
 verify: build test fuzz
-	RTCAD_BENCH_REPS=3 dune exec bench/main.exe -- perf
-	dune exec bench/main.exe -- compare --strict
-
-# The perf history stamps a new bench/results/<timestamp>.json on every
-# run; only latest.json (and the blessed baseline.json) are tracked.
-# This drops the accumulated timestamped files.
-bench-clean:
-	rm -f bench/results/[0-9]*.json BENCH_perf.json
+	python3 bench/ab.py --selftest
 
 # Serving-layer test battery only: the protocol/cache/determinism unit
 # suite plus the golden corpus replayed through the server.
@@ -130,12 +127,13 @@ smoke-rappid:
 	dune exec bin/rtsyn.exe -- rappid --instrs 1000000 --shards 4 --seed 7 \
 	  --heap-budget-words 1000000
 
-# Concurrent-daemon smoke: 4 socket clients against one mux daemon plus
-# the 4-sessions-back-to-back baseline, one rep each.  The concurrent
-# leg must beat the sequential one handily (shared cache + wave
-# coalescing); `bench compare` enforces the recorded floor.
+# Concurrent-daemon smoke: one serve_mix pass, two closed-loop socket
+# clients on one in-process mux daemon with both disk tiers (response
+# cache and flow store), every response checked.  Wave fan-outs go
+# through the worker pool, so the responses must be the same at every
+# job count.
 smoke-serve-concurrent:
-	dune exec bench/main.exe -- perf --reps 1 --only serve_daemon --only serve_sequential
+	$(call perfbench_smoke,serve_mix)
 
 clean:
 	dune clean

@@ -1,13 +1,12 @@
-(* Benchmark and reproduction harness.
+(* Reproduction harness.
 
      dune exec bench/main.exe               — run every experiment
      dune exec bench/main.exe -- NAME…      — run selected experiments
-     dune exec bench/main.exe -- perf       — kernel wall-times -> BENCH_perf.json
-     dune exec bench/main.exe -- compare    — diff BENCH_perf.json vs bench/baseline.json
-     dune exec bench/main.exe -- micro      — Bechamel micro-benchmarks
 
    One experiment per table and figure of the paper; each prints the rows
-   or series the paper reports next to the paper's published values. *)
+   or series the paper reports next to the paper's published values.
+   Timing lives in perfbench/ (the end-to-end benchmark) and bench/ab.py
+   (its paired gate against a base commit). *)
 
 module Stg = Rtcad_stg.Stg
 module Stg_io = Rtcad_stg.Stg_io
@@ -511,52 +510,6 @@ let regression () =
     (Library.all_named ())
 
 (* ------------------------------------------------------------------ *)
-(* Bechamel micro-benchmarks                                           *)
-(* ------------------------------------------------------------------ *)
-
-let micro () =
-  section "Bechamel micro-benchmarks";
-  let open Bechamel in
-  let fifo = Transform.contract_dummies (Library.fifo ()) in
-  let ring4 = Library.ring 4 in
-  let stream = W.generate ~seed:7 W.typical ~instructions:20_000 in
-  let tests =
-    [
-      Test.make ~name:"table1: rappid-vs-clocked"
-        (Staged.stage (fun () -> ignore (M.compare stream)));
-      Test.make ~name:"table2: SI row synthesis"
-        (Staged.stage (fun () -> ignore (Flow.synthesize ~mode:Flow.Si fifo)));
-      Test.make ~name:"figure5: RT flow"
-        (Staged.stage (fun () ->
-             ignore (Flow.synthesize ~mode:Flow.rt_default fifo)));
-      Test.make ~name:"sg: reachability (ring 4)"
-        (Staged.stage (fun () -> ignore (Sg.build ring4)));
-      Test.make ~name:"rt: assumption generation"
-        (Staged.stage
-           (let sg = Sg.build fifo in
-            fun () -> ignore (Generate.automatic fifo sg)));
-      Test.make ~name:"verify: conformance (RT fifo)"
-        (Staged.stage
-           (let r = Flow.synthesize ~mode:Flow.rt_default fifo in
-            fun () -> ignore (Check.conformance ~constraints:r.Flow.assumptions r)));
-    ]
-  in
-  let ols = Analyze.ols ~bootstrap:0 ~r_square:true ~predictors:[| Measure.run |] in
-  let instance = Toolkit.Instance.monotonic_clock in
-  let cfg = Benchmark.cfg ~limit:2000 ~quota:(Time.second 0.8) ~kde:(Some 1000) () in
-  List.iter
-    (fun test ->
-      let raw = Benchmark.all cfg [ instance ] (Test.make_grouped ~name:"g" [ test ]) in
-      let results = Analyze.all ols instance raw in
-      Hashtbl.iter
-        (fun name result ->
-          match Analyze.OLS.estimates result with
-          | Some [ est ] -> Format.printf "%-36s %10.3f ms/run@." name (est /. 1e6)
-          | Some _ | None -> Format.printf "%-36s (no estimate)@." name)
-        results)
-    tests
-
-(* ------------------------------------------------------------------ *)
 
 let experiments =
   [
@@ -579,55 +532,14 @@ let experiments =
 let () =
   let args = List.tl (Array.to_list Sys.argv) in
   match args with
-  | [] ->
-    List.iter (fun (_, f) -> f ()) experiments;
-    Format.printf
-      "@.(run `bench/main.exe perf' for kernel wall-times, `micro' for Bechamel)@."
-  | "perf" :: rest ->
-    (* `perf --only KERNEL [--only KERNEL…]` runs a subset in one warmed
-       process — the iteration loop while tuning a single kernel.
-       `--reps N` overrides RTCAD_BENCH_REPS for this run. *)
-    let only = ref [] in
-    let reps = ref None in
-    let rec parse = function
-      | [] -> ()
-      | "--only" :: name :: rest ->
-        only := name :: !only;
-        parse rest
-      | "--reps" :: n :: rest -> (
-        match int_of_string_opt n with
-        | Some n when n >= 1 ->
-          reps := Some n;
-          parse rest
-        | Some _ | None ->
-          Printf.eprintf "perf: --reps expects a positive integer\n";
-          exit 2)
-      | _ ->
-        Printf.eprintf "usage: perf [--only KERNEL]... [--reps N]\n";
-        exit 2
-    in
-    parse rest;
-    Perf.run_perf ?reps:!reps ~only:(List.rev !only) ()
-  | "compare" :: rest ->
-    let strict = ref false and update_baseline = ref false in
-    List.iter
-      (function
-        | "--strict" -> strict := true
-        | "--update-baseline" -> update_baseline := true
-        | _ ->
-          Printf.eprintf "usage: compare [--strict] [--update-baseline]\n";
-          exit 2)
-      rest;
-    Perf.run_compare ~strict:!strict ~update_baseline:!update_baseline ()
+  | [] -> List.iter (fun (_, f) -> f ()) experiments
   | names ->
     List.iter
       (fun name ->
         match List.assoc_opt name experiments with
         | Some f -> f ()
-        | None when name = "perf" -> Perf.run_perf ()
-        | None when name = "micro" -> micro ()
         | None ->
-          Printf.eprintf "unknown experiment %s; available: %s perf compare micro\n"
+          Printf.eprintf "unknown experiment %s; available: %s\n"
             name
             (String.concat " " (List.map fst experiments));
           exit 2)

@@ -416,10 +416,6 @@ let shrink_edit_case { base; edits } =
   let smaller_base = List.map (fun b -> { base = b; edits }) (shrink_plan base) in
   fewer_edits @ smaller_base
 
-let pp_edit_case ppf { base; edits } =
-  Format.fprintf ppf "%a;" pp_plan base;
-  List.iter (fun e -> Format.fprintf ppf " %a" pp_edit e) edits
-
 (* ------------------------------------------------------------------ *)
 (* Netlists and stimuli                                                *)
 (* ------------------------------------------------------------------ *)

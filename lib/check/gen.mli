@@ -72,7 +72,6 @@ type edit =
           [allow_input_first] flag *)
 
 val apply_edit : Rtcad_stg.Stg.t -> edit -> Rtcad_stg.Stg.t
-val gen_edit : Rtcad_util.Rng.t -> edit
 val gen_edits : Rtcad_util.Rng.t -> int -> edit list
 val pp_edit : Format.formatter -> edit -> unit
 
@@ -82,8 +81,6 @@ val shrink_edit_case : edit_case -> edit_case list
 (** Strictly smaller candidates under the lexicographic measure (base
     places, edit count): drop one edit, or shrink the base keeping the
     script. *)
-
-val pp_edit_case : Format.formatter -> edit_case -> unit
 
 (** {2 Netlists and stimuli} *)
 

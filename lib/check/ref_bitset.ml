@@ -4,9 +4,6 @@ type t = bool list
 
 let create n = List.init n (fun _ -> false)
 
-let of_fast s =
-  List.init (Bitset.capacity s) (fun i -> Bitset.mem s i)
-
 let capacity = List.length
 
 let mem s i = List.nth s i

@@ -11,8 +11,6 @@ type t = bool list
 (** Element [i] of the list is the membership of [i]. *)
 
 val create : int -> t
-val of_fast : Rtcad_util.Bitset.t -> t
-(** Import a packed set (by membership queries only). *)
 
 val capacity : t -> int
 val mem : t -> int -> bool

@@ -75,12 +75,6 @@ exception Synthesis_failure of string
 
 let fail fmt = Printf.ksprintf (fun s -> raise (Synthesis_failure s)) fmt
 
-let sg_full t =
-  match t.reach with
-  | Explicit_graphs { sg_full; _ } -> sg_full
-  | Symbolic_counts _ ->
-    invalid_arg "Flow.sg_full: symbolic flow carries no explicit state graph"
-
 let sg t =
   match t.reach with
   | Explicit_graphs { sg; _ } -> sg

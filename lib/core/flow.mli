@@ -66,10 +66,6 @@ type t = {
 
 exception Synthesis_failure of string
 
-val sg_full : t -> Rtcad_sg.Sg.t
-(** The full state graph of an explicit flow.
-    @raise Invalid_argument on a symbolic flow. *)
-
 val sg : t -> Rtcad_sg.Sg.t
 (** The synthesis graph of an explicit flow.
     @raise Invalid_argument on a symbolic flow. *)

@@ -239,8 +239,6 @@ let infer ?(assumptions = []) ?(max_rounds = 32) ~circuit ~spec () =
     in
     { netlist = circuit; constraints; conforms = false; rounds = !rounds; residual }
 
-let infer_constraints ?max_rounds ~circuit ~spec () = infer ?max_rounds ~circuit ~spec ()
-
 let map_flow ?style ?max_fanin (flow : Flow.t) =
   let stg = flow.Flow.stg in
   let impls =

@@ -7,7 +7,7 @@
     tree of bounded-fan-in AND/OR gates (plus a set-dominant element for
     gC implementations).  Decomposition introduces internal nodes with
     their own delays, so the result is generally {e not} hazard-free under
-    unbounded delays; {!infer_constraints} closes the loop by verifying
+    unbounded delays; {!map_flow} closes the loop by verifying
     the mapped netlist against its specification and deriving, failure by
     failure, the internal relative-timing constraints (net-level "a
     before b" orderings) under which it conforms — constraints that the
@@ -33,18 +33,21 @@ type inference = {
       (** failures left when [conforms] is false *)
 }
 
-val infer_constraints :
-  ?max_rounds:int ->
-  circuit:Rtcad_netlist.Netlist.t ->
-  spec:Rtcad_stg.Stg.t ->
-  unit ->
+val map_flow :
+  ?style:Rtcad_synth.Emit.style ->
+  ?max_fanin:int ->
+  Flow.t ->
   inference
-(** Backtracking repair search: check conformance; every hazard "gate g
+(** Decompose a flow result's implementations ({!emit_mapped}) and infer
+    the decomposition constraints against the flow's STG, with the
+    flow's behavioural assumptions also in force.
+
+    Backtracking repair search: check conformance; every hazard "gate g
     towards v disabled by edge e" proposes the two orderings "(g,v)
     before e" and "e before (g,v)"; every unexpected output proposes
     making each gate that was racing it fire first.  The search explores
-    these alternatives depth-first under a budget derived from
-    [max_rounds] (default 32) and memoizes visited constraint sets.
+    these alternatives depth-first under a budget derived from 32
+    rounds and memoizes visited constraint sets.
 
     The inference converges for shallow decompositions (the Muller
     pipeline controller needs four constraints); for deep OR-tree races
@@ -52,12 +55,3 @@ val infer_constraints :
     repair space grows beyond the budget and the inference reports
     failure with the best residual — mirroring the paper's assessment of
     timing-aware decomposition as an open CAD problem (Section 6). *)
-
-val map_flow :
-  ?style:Rtcad_synth.Emit.style ->
-  ?max_fanin:int ->
-  Flow.t ->
-  inference
-(** Convenience: decompose a flow result's implementations and infer the
-    decomposition constraints against the flow's STG, with the flow's
-    behavioural assumptions also in force. *)

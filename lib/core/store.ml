@@ -24,7 +24,12 @@
    caller recomputes and overwrites.  Each store counts into the Obs
    namespace fixed at [create] ([flow.cache] for the flow, [serve.cache]
    for the daemon's responses), so the two tiers stay apart in a
-   trace. *)
+   trace.
+
+   Domains share a store (the daemon's wave workers synthesize into one
+   flow store), so one mutex per store guards the memory tables, the LRU
+   clock and the counters.  Disk reads and writes run outside it: the
+   temp-file rename already makes them safe to race. *)
 
 module Obs = Rtcad_obs.Obs
 
@@ -66,6 +71,7 @@ type t = {
   shard_budget : int;
   dir : string option;
   names : names;
+  lock : Mutex.t;
   mutable clock : int;
   mutable hits : int;
   mutable disk_hits : int;
@@ -141,6 +147,7 @@ let create ?(namespace = "flow.cache") ?(shards = 4) ?(budget = default_budget)
         n_bytes = n "retained_bytes";
         n_ms = n "retained_ms";
       };
+    lock = Mutex.create ();
     clock = 0;
     hits = 0;
     disk_hits = 0;
@@ -294,7 +301,7 @@ let disk_find t k =
       match decode_entry data with
       | Some (_stage, payload) -> Some payload
       | None ->
-        t.corrupt <- t.corrupt + 1;
+        Mutex.protect t.lock (fun () -> t.corrupt <- t.corrupt + 1);
         Obs.incr t.names.n_corrupt;
         (try Sys.remove path with Sys_error _ -> ());
         None))
@@ -322,35 +329,45 @@ let disk_store t ~stage k payload =
     | Error _ -> ( try Sys.remove tmp with Sys_error _ -> ()))
 
 let find t k =
-  match Hashtbl.find_opt (shard_of t k).table k with
-  | Some e ->
-    touch t e;
-    t.hits <- t.hits + 1;
-    Obs.incr t.names.n_hit;
-    Some e.payload
+  let in_memory =
+    Mutex.protect t.lock (fun () ->
+        match Hashtbl.find_opt (shard_of t k).table k with
+        | Some e ->
+          touch t e;
+          t.hits <- t.hits + 1;
+          Obs.incr t.names.n_hit;
+          Some e.payload
+        | None -> None)
+  in
+  match in_memory with
+  | Some _ -> in_memory
   | None -> (
     match disk_find t k with
     | Some payload ->
-      insert_mem t k payload;
-      t.hits <- t.hits + 1;
-      t.disk_hits <- t.disk_hits + 1;
-      Obs.incr t.names.n_hit;
-      Obs.incr t.names.n_disk_hit;
-      publish_gauges t;
+      Mutex.protect t.lock (fun () ->
+          insert_mem t k payload;
+          t.hits <- t.hits + 1;
+          t.disk_hits <- t.disk_hits + 1;
+          Obs.incr t.names.n_hit;
+          Obs.incr t.names.n_disk_hit;
+          publish_gauges t);
       Some payload
     | None ->
-      t.misses <- t.misses + 1;
-      Obs.incr t.names.n_miss;
+      Mutex.protect t.lock (fun () ->
+          t.misses <- t.misses + 1;
+          Obs.incr t.names.n_miss);
       None)
 
 let store ?cost_ms ~stage t k payload =
-  insert_mem ?cost_ms t k payload;
-  disk_store t ~stage k payload;
-  t.stores <- t.stores + 1;
-  Obs.incr t.names.n_store;
-  publish_gauges t
+  Mutex.protect t.lock (fun () ->
+      insert_mem ?cost_ms t k payload;
+      t.stores <- t.stores + 1;
+      Obs.incr t.names.n_store;
+      publish_gauges t);
+  disk_store t ~stage k payload
 
 let stats (t : t) =
+  Mutex.protect t.lock @@ fun () ->
   let shards =
     Array.to_list
       (Array.map

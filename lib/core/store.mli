@@ -12,7 +12,8 @@
     header or checksum does not verify — a flipped byte, a truncated
     write, a foreign file — is counted, removed and reported as a miss,
     so corruption can only ever cost a recompute, never a wrong
-    result. *)
+    result.  Domains may share a store: its memory tier and counters
+    sit behind one lock per store. *)
 
 type t
 

@@ -23,7 +23,3 @@ exception Unsupported of string
 val compile : Ast.program -> Rtcad_stg.Stg.t
 (** The program body is treated as the body of an infinite loop (a
     controller never terminates). *)
-
-val signals_of_channel : string -> Ast.direction -> (string * Rtcad_stg.Stg.kind) list
-(** The handshake signals a channel compiles to: [("C_req", kind);
-    ("C_ack", kind)]. *)

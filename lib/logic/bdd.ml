@@ -567,7 +567,6 @@ let rec bdiff_st st a b =
         r)
 
 let bdiff a b = bdiff_st (state ()) a b
-let bimp a b = bnot_st (state ()) (bdiff_st (state ()) a b)
 
 let rec bxor_st st a b =
   match (a, b) with

@@ -45,8 +45,6 @@ val bnot : t -> t
 val band : t -> t -> t
 val bor : t -> t -> t
 val bxor : t -> t -> t
-val bimp : t -> t -> t
-(** [bimp a b] is [not a or b]. *)
 
 val bdiff : t -> t -> t
 (** [bdiff a b] is [a and not b], computed in one fused pass — the

@@ -3,7 +3,6 @@ type t = Cube.t list
 let of_cubes cubes = cubes
 let cubes c = c
 let bottom = []
-let is_false c = c = []
 let to_bdd c = List.fold_left (fun acc cube -> Bdd.bor acc (Cube.to_bdd cube)) Bdd.zero c
 let eval c env = List.exists (fun cube -> Cube.eval cube env) c
 let num_cubes = List.length

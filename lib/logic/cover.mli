@@ -13,8 +13,6 @@ val cubes : t -> Cube.t list
 val bottom : t
 (** The empty cover (constant false). *)
 
-val is_false : t -> bool
-
 val to_bdd : t -> Bdd.t
 val eval : t -> (int -> bool) -> bool
 

@@ -126,7 +126,3 @@ let primes ?(max_vars = 12) f =
   let n = support_size f Bdd.zero in
   if n > max_vars then invalid_arg "Exact.primes: too many variables";
   List.map (cube_of n) (primes_of_minterms n (minterms n f))
-
-let is_minimum ?max_vars ?dc_set on_set cover =
-  let best = minimum_cover ?max_vars ?dc_set on_set in
-  Cover.num_cubes cover = Cover.num_cubes best

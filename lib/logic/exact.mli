@@ -21,6 +21,3 @@ val minimum_cover : ?max_vars:int -> ?dc_set:Bdd.t -> Bdd.t -> Cover.t
 
 val primes : ?max_vars:int -> Bdd.t -> Cube.t list
 (** All prime implicants of the function (no don't-cares). *)
-
-val is_minimum : ?max_vars:int -> ?dc_set:Bdd.t -> Bdd.t -> Cover.t -> bool
-(** Whether the given cover's cube count equals the exact minimum. *)

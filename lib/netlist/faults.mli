@@ -32,5 +32,4 @@ type report = {
 val coverage :
   stimulus:(Sim.t -> unit) -> horizon:float -> Netlist.t -> report
 
-val pp_fault : Netlist.t -> Format.formatter -> fault -> unit
 val pp_report : Netlist.t -> Format.formatter -> report -> unit

@@ -157,9 +157,6 @@ let energy_fj g =
   | Static -> 900.0 +. (480.0 *. float_of_int (transistors g))
   | Domino _ -> 500.0 +. (260.0 *. float_of_int (transistors g))
 
-let is_state_holding g =
-  match g.func with Celem | Set_reset | Sop_sr _ -> true | _ -> false
-
 let pp ppf g =
   let f =
     match g.func with

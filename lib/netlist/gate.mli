@@ -59,5 +59,4 @@ val delay_ps : t -> float
 val energy_fj : t -> float
 (** Switching energy per output transition, femtojoules. *)
 
-val is_state_holding : t -> bool
 val pp : Format.formatter -> t -> unit

@@ -309,7 +309,6 @@ let settle ?(max_events = 2_000_000) t () =
     record_run t ~events:(max_events - !budget) ~commits0 ~glitches0 ~depth0
 
 let transition_count t net = t.transitions.(net)
-let total_transitions t = Array.fold_left ( + ) 0 t.transitions
 let glitches t = t.glitch_count
 let energy_pj t = t.energy.(0)
 

@@ -60,7 +60,6 @@ val settle : ?max_events:int -> t -> unit -> unit
 (** Run until no events remain. *)
 
 val transition_count : t -> Netlist.net -> int
-val total_transitions : t -> int
 val glitches : t -> int
 val energy_pj : t -> float
 (** Accumulated switching energy of committed transitions. *)

@@ -2,10 +2,11 @@
 
    Design constraints, in order:
 
-   1. The disabled path must be invisible in `bench compare --strict`:
-      every entry point opens with a single load-and-branch on
-      [enabled_flag] and touches nothing else — no allocation, no DLS
-      lookup, no clock read.
+   1. The disabled path must be invisible to the paired benchmark gate
+      (`bench/ab.py`, whose perfbench runs are untraced): every entry
+      point opens with a single load-and-branch on [enabled_flag] and
+      touches nothing else — no allocation, no DLS lookup, no clock
+      read.
 
    2. Enabled recording must be deterministic under the worker pool.
       Every domain writes only to a store keyed by its [Par.worker_index]

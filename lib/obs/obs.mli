@@ -7,7 +7,8 @@
     does nothing else when recording is off — no allocation, no clock
     read, no thread-local lookup.  Instrumented kernels therefore show
     no measurable regression with observability disabled (enforced by
-    [bench compare --strict]).
+    the paired benchmark gate, [bench/ab.py], whose perfbench runs are
+    untraced).
 
     {2 Determinism}
 

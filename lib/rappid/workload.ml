@@ -19,8 +19,6 @@ let long =
 
 let all_profiles = [ typical; uniform; short; long ]
 
-let profile_named n = List.find_opt (fun p -> p.name = n) all_profiles
-
 (* --- streaming generation ---
 
    One instruction costs exactly one splitmix draw ([Rng.weighted] makes

@@ -25,9 +25,6 @@ val long : profile
 
 val all_profiles : profile list
 
-val profile_named : string -> profile option
-(** Look a profile up by its [name] field ("typical", "uniform", …). *)
-
 (** {2 Streaming generation}
 
     One instruction costs exactly one splitmix draw, so instruction [i]

@@ -24,6 +24,3 @@ let pp_origin ppf = function
 let pp stg ppf a =
   Format.fprintf ppf "%a before %a (%a)" (Stg.pp_transition stg) a.first
     (Stg.pp_transition stg) a.second pp_origin a.origin
-
-let pp_list stg ppf l =
-  Format.pp_print_list ~pp_sep:Format.pp_print_cut (pp stg) ppf l

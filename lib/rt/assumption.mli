@@ -36,5 +36,3 @@ val compare : t -> t -> int
 
 val pp : Rtcad_stg.Stg.t -> Format.formatter -> t -> unit
 (** Prints e.g. [ri- before li+ (user)]. *)
-
-val pp_list : Rtcad_stg.Stg.t -> Format.formatter -> t list -> unit

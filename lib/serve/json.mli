@@ -33,9 +33,6 @@ val to_string : t -> string
     output reconstructs the value, except that integral floats print as
     integers. *)
 
-val escape_string : string -> string
-(** The quoted, escaped form of a string literal. *)
-
 (** {2 Accessors} — convenience lookups for request decoding. *)
 
 val member : string -> t -> t option

@@ -41,7 +41,6 @@ let usc_conflicts sg =
 
 let csc_conflicts sg = List.filter (fun c -> c.signals <> []) (usc_conflicts sg)
 let has_csc sg = csc_conflicts sg <> []
-let has_usc sg = usc_conflicts sg <> []
 
 let pp_conflict sg ppf { state_a; state_b; signals } =
   let stg = Sg.stg sg in

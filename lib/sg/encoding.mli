@@ -14,13 +14,11 @@ type conflict = {
           USC conflict). *)
 }
 
-val usc_conflicts : Sg.t -> conflict list
-(** All pairs of distinct states sharing a code. *)
-
 val csc_conflicts : Sg.t -> conflict list
-(** The subset of USC conflicts that break CSC ([signals] non-empty). *)
+(** All pairs of distinct states that share a code and disagree on the
+    excitation of some non-input signal (USC conflicts with [signals]
+    non-empty). *)
 
 val has_csc : Sg.t -> bool
-val has_usc : Sg.t -> bool
 
 val pp_conflict : Sg.t -> Format.formatter -> conflict -> unit

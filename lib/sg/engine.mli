@@ -17,10 +17,9 @@ val concurrency_estimate : Rtcad_stg.Stg.t -> int
     concurrent tokens whose interleavings the explicit engine must
     enumerate. *)
 
-val auto_token_threshold : int
-(** [Auto] selects the symbolic engine at or above this estimate. *)
-
 val select : t -> Rtcad_stg.Stg.t -> [ `Explicit | `Symbolic ]
+(** [Auto] selects the symbolic engine when {!concurrency_estimate}
+    reaches a fixed threshold. *)
 
 val build :
   ?engine:t -> ?max_states:int -> ?par_threshold:int -> Rtcad_stg.Stg.t -> Sg.t

@@ -49,8 +49,3 @@ let live_transitions sg =
   Array.for_all Fun.id fired
 
 let deadlock_free sg = Sg.deadlocks sg = []
-
-let pp_violation sg ppf { state; disabled; by } =
-  let stg = Sg.stg sg in
-  Format.fprintf ppf "state s%d [%a]: %a disabled by %a" state (Sg.pp_state sg) state
-    (Stg.pp_transition stg) disabled (Stg.pp_transition stg) by

@@ -20,5 +20,3 @@ val live_transitions : Sg.t -> bool
 (** Every transition of the STG fires on some edge of the graph. *)
 
 val deadlock_free : Sg.t -> bool
-
-val pp_violation : Sg.t -> Format.formatter -> persistency_violation -> unit

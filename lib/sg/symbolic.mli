@@ -26,30 +26,25 @@ val analyze : ?max_states:int -> ?seed:t -> Rtcad_stg.Stg.t -> t
     {!Sg.Inconsistent} or {!Rtcad_stg.Petri.Unsafe} exactly when
     {!Sg.build} would.
 
-    [seed] is a prior analysis to re-seed the fixpoint from.  When
-    {!seed_compatible} holds — the edit that produced this STG from the
-    seed's is a pure transition addition under an identical state
-    encoding — the fixpoint starts from the seed's reachable set instead
-    of the initial state and only discovers what the edit added.
+    [seed] is a prior analysis to re-seed the fixpoint from.  When the
+    seed is compatible — the place/signal index spaces, variable-order
+    assignment and initial (marking, code) are identical and every seed
+    transition (label, preset, postset) still exists, so the STG is the
+    seed's plus zero or more transitions and every previously reachable
+    state is still reachable — the fixpoint starts from the seed's
+    reachable set instead of the initial state and only discovers what
+    the edit added.
     Otherwise the seed is ignored and the run starts from scratch.
     Results are bit-identical either way: the seeded start set re-enters
     the first frontier and is checked against the new STG's transitions
     exactly like discovered states. *)
-
-val seed_compatible : t -> Rtcad_stg.Stg.t -> bool
-(** Can [analyze ~seed] start from this analysis for that STG?  True
-    when the place/signal index spaces, variable-order assignment and
-    initial (marking, code) are identical and every seed transition
-    (label, preset, postset) still exists — i.e. the STG is the seed's
-    STG plus zero or more transitions, which guarantees every previously
-    reachable state is still reachable. *)
 
 val analyze_cached : ?max_states:int -> Rtcad_stg.Stg.t -> t
 (** {!analyze} through a small domain-local pool of recent analyses: an
     STG whose canonical [.g] text matches a pooled analysis gets it back
     without running the fixpoint (a [max_states] below the pooled state
     count still raises {!Sg.Too_large}); otherwise the fixpoint runs,
-    seeded from a {!seed_compatible} pooled analysis when one exists,
+    seeded from a compatible pooled analysis when one exists,
     and the result joins the pool.  Failures are never pooled.  The pool
     is per-domain (BDDs are domain-local) and bounded. *)
 
@@ -77,9 +72,6 @@ val deadlock_count : t -> int
 
 val deadlock_markings : t -> Rtcad_util.Bitset.t list
 (** Markings of the reachable deadlocked states. *)
-
-val deadlock_states : t -> (Rtcad_util.Bitset.t * Rtcad_util.Bitset.t) list
-(** Deadlocked (marking, code) pairs. *)
 
 val live_transitions : t -> bool
 (** Every transition enabled in at least one reachable state. *)
@@ -146,9 +138,6 @@ val view_states : view -> int
 
 val view_deadlock_free : view -> bool
 (** No reachable state of the view lacks an outgoing kept edge. *)
-
-val view_excited : view -> int -> Rtcad_logic.Bdd.t
-(** States with a kept edge of the given signal. *)
 
 val view_has_csc : view -> bool
 (** {!has_csc} on the viewed graph. *)

@@ -63,8 +63,6 @@ let pp_transition stg ppf t =
     Format.fprintf ppf "%s%a" stg.signal_names.(signal) pp_dir dir
   | Dummy -> Format.fprintf ppf "%s" (Petri.transition_name stg.net t)
 
-let pp_edge stg ppf (s, d) = Format.fprintf ppf "%s%a" stg.signal_names.(s) pp_dir d
-
 let pp ppf stg =
   Format.fprintf ppf "@[<v>signals:";
   Array.iteri
@@ -76,7 +74,6 @@ let pp ppf stg =
     stg.signal_names;
   Format.fprintf ppf "@,%a@]" Petri.pp stg.net
 
-let dir_of_bool b = if b then Rise else Fall
 let opposite = function Rise -> Fall | Fall -> Rise
 
 module Build = struct

@@ -41,17 +41,10 @@ val non_input_signals : t -> int list
 val transitions_of : t -> int -> dir -> int list
 (** All Petri transitions labelled with the given signal edge. *)
 
-val pp_dir : Format.formatter -> dir -> unit
 val pp_transition : t -> Format.formatter -> int -> unit
 (** Prints [li+], [x-], or the dummy's name. *)
 
-val pp_edge : t -> Format.formatter -> int * dir -> unit
-(** Prints a signal edge as [li+]. *)
-
 val pp : Format.formatter -> t -> unit
-
-val dir_of_bool : bool -> dir
-(** [Rise] for [true]. *)
 
 val opposite : dir -> dir
 

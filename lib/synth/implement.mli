@@ -36,14 +36,6 @@ val monotonic :
     most one transition instance of the signal in the engine view, and
     likewise for the reset cover. *)
 
-val monotonic_with :
-  rises:Rtcad_logic.Bdd.t list ->
-  falls:Rtcad_logic.Bdd.t list ->
-  impl ->
-  bool
-(** {!monotonic} with the per-transition excitation instances supplied
-    directly. *)
-
 val pp : Rtcad_stg.Stg.t -> Format.formatter -> impl -> unit
 (** Prints e.g. [lo = li x' + lo ri'] or [set: …  reset: …] with signal
     names. *)

@@ -1,6 +1,6 @@
 (* Int-specialized binary min-heap stored as parallel arrays, so pushes
    and pops allocate nothing (amortized).  Entries carry a sequence
-   number: equal keys pop in insertion order, matching {!Heap}. *)
+   number: equal keys pop in insertion order. *)
 
 type t = {
   mutable keys : int array;

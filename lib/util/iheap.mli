@@ -1,9 +1,8 @@
 (** Int-keyed, int-valued binary min-heap backed by parallel arrays.
 
-    Unlike the polymorphic {!Heap}, pushes and pops allocate nothing
-    (amortized over capacity doublings), which makes it suitable for the
-    steady-state path of the event-driven simulator.  Equal keys pop in
-    insertion order. *)
+    Pushes and pops allocate nothing (amortized over capacity
+    doublings), which makes it suitable for the steady-state path of the
+    event-driven simulator.  Equal keys pop in insertion order. *)
 
 type t
 

@@ -67,8 +67,5 @@ val check :
     nets of the same name.  Default bounds: 200000 configurations, 10
     failures.  Raises {!Bound_exceeded} if the bound is hit. *)
 
-val pp_failure :
-  Rtcad_netlist.Netlist.t -> Rtcad_stg.Stg.t -> Format.formatter -> failure -> unit
-
 val pp_result :
   Rtcad_netlist.Netlist.t -> Rtcad_stg.Stg.t -> Format.formatter -> result -> unit

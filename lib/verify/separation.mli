@@ -8,12 +8,9 @@
     Section 6 would have to preserve. *)
 
 type bounds = { min_ps : float; max_ps : float }
-
-val path_bounds :
-  ?margin:float -> Rtcad_netlist.Netlist.t -> Paths.path -> bounds
 (** Delay interval of a path: its observed span in the characterization
     run (environment hops included at their observed latency), widened by
-    [margin] on both sides.  Default [margin] is 0.2. *)
+    [margin] on both sides. *)
 
 type verdict = {
   holds : bool;

@@ -247,6 +247,32 @@ let test_store_concurrent_writers () =
   (* no abandoned temp files *)
   check_int "directory holds only the entry" 1 (Array.length (Sys.readdir dir))
 
+(* Domains sharing one store (the daemon's wave workers synthesize into
+   one flow store): no insertion is lost and the counters are exact. *)
+let test_store_shared_by_domains () =
+  let s = Store.create () in
+  let n = 100_000 in
+  let key d i = Store.key [ string_of_int d; string_of_int i ] in
+  let domains =
+    List.init 2 (fun d ->
+        Domain.spawn (fun () ->
+            for i = 1 to n do
+              Store.store ~stage:"reach" s (key d i) (string_of_int i)
+            done;
+            let found = ref 0 in
+            for i = 1 to n do
+              if Store.find s (key d i) = Some (string_of_int i) then incr found
+            done;
+            !found))
+  in
+  let found = List.map Domain.join domains in
+  check "every key found" true (List.for_all (( = ) n) found);
+  let st = Store.stats s in
+  check_int "entries" (2 * n) st.Store.entries;
+  check_int "stores" (2 * n) st.Store.stores;
+  check_int "hits" (2 * n) st.Store.hits;
+  check_int "misses" 0 st.Store.misses
+
 let test_store_gc_budget () =
   with_tmpdir @@ fun dir ->
   let s = Store.create ~dir () in
@@ -399,6 +425,7 @@ let suite =
         Alcotest.test_case "truncated entry" `Quick test_store_truncated_entry;
         Alcotest.test_case "missing blob, foreign file" `Quick test_store_missing_blob;
         Alcotest.test_case "concurrent writers" `Quick test_store_concurrent_writers;
+        Alcotest.test_case "shared by two domains" `Quick test_store_shared_by_domains;
         Alcotest.test_case "gc to budget" `Quick test_store_gc_budget;
         Alcotest.test_case "cost-based eviction honours the budget" `Quick
           test_store_cost_eviction;

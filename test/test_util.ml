@@ -1,52 +1,63 @@
-(* Tests for Rtcad_util.Heap, Rng and Stats. *)
+(* Tests for Rtcad_util.Iheap, Rng and Stats. *)
 
-module Heap = Rtcad_util.Heap
+module Iheap = Rtcad_util.Iheap
 module Rng = Rtcad_util.Rng
 module Stats = Rtcad_util.Stats
 
 let check = Alcotest.(check bool)
 let check_int = Alcotest.(check int)
 
-(* Heap. *)
+(* Iheap: the simulator's event queue.  Its tie order (equal keys pop in
+   insertion order) is what keeps simulations deterministic. *)
+
+let drain h =
+  let rec go acc =
+    if Iheap.is_empty h then List.rev acc
+    else begin
+      let kv = (Iheap.top_key h, Iheap.top_value h) in
+      Iheap.drop_min h;
+      go (kv :: acc)
+    end
+  in
+  go []
 
 let test_heap_order () =
-  let h = Heap.create () in
-  List.iter (fun k -> Heap.push h k k) [ 5; 1; 4; 1; 3 ];
-  let rec drain acc =
-    match Heap.pop h with None -> List.rev acc | Some (k, _) -> drain (k :: acc)
-  in
-  Alcotest.(check (list int)) "sorted" [ 1; 1; 3; 4; 5 ] (drain [])
+  let h = Iheap.create () in
+  List.iter (fun k -> Iheap.push h k k) [ 5; 1; 4; 1; 3 ];
+  Alcotest.(check (list int)) "sorted" [ 1; 1; 3; 4; 5 ] (List.map fst (drain h))
 
 let test_heap_fifo_ties () =
-  let h = Heap.create () in
-  Heap.push h 7 "first";
-  Heap.push h 7 "second";
-  Heap.push h 7 "third";
-  let pop () = match Heap.pop h with Some (_, v) -> v | None -> "?" in
-  Alcotest.(check string) "fifo 1" "first" (pop ());
-  Alcotest.(check string) "fifo 2" "second" (pop ());
-  Alcotest.(check string) "fifo 3" "third" (pop ())
+  let h = Iheap.create ~capacity:1 () in
+  List.iteri (fun i k -> Iheap.push h k i) [ 7; 3; 7; 5; 7; 3; 7 ];
+  Alcotest.(check (list (pair int int)))
+    "key order, then insertion order"
+    [ (3, 1); (3, 5); (5, 3); (7, 0); (7, 2); (7, 4); (7, 6) ]
+    (drain h)
 
 let test_heap_empty () =
-  let h = Heap.create () in
-  check "empty" true (Heap.is_empty h);
-  check "pop none" true (Heap.pop h = None);
-  check "peek none" true (Heap.peek_key h = None);
-  Heap.push h 1 ();
-  check_int "length" 1 (Heap.length h);
-  Heap.clear h;
-  check "cleared" true (Heap.is_empty h)
+  let h = Iheap.create () in
+  check "empty" true (Iheap.is_empty h);
+  Alcotest.check_raises "top_key on empty"
+    (Invalid_argument "Iheap.top_key: empty heap") (fun () -> ignore (Iheap.top_key h));
+  Alcotest.check_raises "drop_min on empty"
+    (Invalid_argument "Iheap.drop_min: empty heap") (fun () -> Iheap.drop_min h);
+  Iheap.push h 1 0;
+  check_int "length" 1 (Iheap.length h);
+  Iheap.clear h;
+  check "cleared" true (Iheap.is_empty h)
 
+(* Keys from a small range, so most lists have ties: the drain must be
+   the stable sort of (key, insertion index). *)
 let prop_heap_sorts =
   QCheck.Test.make ~name:"heap drains sorted" ~count:200
-    QCheck.(list (int_range 0 1000))
+    QCheck.(list (int_range 0 20))
     (fun keys ->
-      let h = Heap.create () in
-      List.iter (fun k -> Heap.push h k k) keys;
-      let rec drain acc =
-        match Heap.pop h with None -> List.rev acc | Some (k, _) -> drain (k :: acc)
-      in
-      drain [] = List.sort Int.compare keys)
+      let h = Iheap.create () in
+      List.iteri (fun i k -> Iheap.push h k i) keys;
+      drain h
+      = List.stable_sort
+          (fun (a, _) (b, _) -> Int.compare a b)
+          (List.mapi (fun i k -> (k, i)) keys))
 
 (* Rng. *)
 
